@@ -1338,16 +1338,13 @@ let serve_bench () =
     }
   in
   (* the sweep's serving config: a coarse mesh (the serving layers under
-     test are wire, batching and routing — not the eigensolver), a short
-     coalescing window, shared store *)
+     test are wire and routing — not the eigensolver), shared store *)
   let sweep_config =
     {
       config with
       Serve.Server.kle =
         { Ssta.Algorithm2.paper_config with Ssta.Algorithm2.max_area_fraction = 0.05 };
       workers = 2;
-      batch_window_s = 0.001;
-      batch_max = 8;
     }
   in
   let payload_bits payload =
@@ -1530,9 +1527,7 @@ let serve_bench () =
                 ("concurrency", Bench_json.Int concurrency);
                 ("requests", Bench_json.Int n_requests);
                 ("endpoints", Bench_json.Int 96);
-                ("key_variants", Bench_json.Int key_variants);
-                ( "batch_window_ms",
-                  Bench_json.Float (sweep_config.Serve.Server.batch_window_s *. 1e3) ) ]
+                ("key_variants", Bench_json.Int key_variants) ]
             ~stages:
               [ ("latency_p50", pct 50.); ("latency_p90", pct 90.);
                 ("latency_p99", pct 99.); ("latency_p999", pct 99.9);

@@ -10,8 +10,6 @@ type config = {
   store_io_faults : Util.Fault.io_plan list;
   chaos_crash : Util.Fault.io_plan option;
   chaos_crash_after : Util.Fault.io_plan option;
-  batch_window_s : float;
-  batch_max : int;
   slow_ms : float;
   slow_ring : int;
   request_log : (Jsonx.t -> unit) option;
@@ -30,8 +28,6 @@ let default_config =
     store_io_faults = [];
     chaos_crash = None;
     chaos_crash_after = None;
-    batch_window_s = 0.0;
-    batch_max = 8;
     slow_ms = 0.0;
     slow_ring = 64;
     request_log = None;
@@ -92,7 +88,7 @@ type job = {
   attempts : int Atomic.t;  (* worker crashes this job has caused *)
   req_id : string;  (* effective correlation ID: client-sent or ingress-generated *)
   submitted_ns : int;  (* decoded at ingress, on the Util.Trace.now_ns clock *)
-  mutable enqueued_ns : int;  (* entered the worker queue (post batch window) *)
+  mutable enqueued_ns : int;  (* admitted to the worker queue *)
   mutable reply_write_ns : int;  (* wall time spent inside [reply] *)
 }
 
@@ -106,11 +102,7 @@ type t = {
      None when the server runs without a store (macros recomputed per call) *)
   depgraph : Persist.Depgraph.t option;
   cache : artifact Lru.t;
-  (* the queue holds job *groups*: singletons for ordinary requests, larger
-     lists for coalesced run_mc batches that execute with shared prep *)
-  queue : job list Queue.t;
-  mutable queued : int;  (* total jobs across queued groups; guarded by [lock] *)
-  mutable batcher : job Batch.t option;  (* set once in [create], never again *)
+  queue : job Queue.t;  (* guarded by [lock] *)
   lock : Mutex.t;
   not_empty : Condition.t;
   (* single-flight: keys whose compute is running on some domain; a second
@@ -441,38 +433,25 @@ let kle_samplers t models (setup : Ssta.Experiment.circuit_setup) =
     (fun m -> Kle.Sampler.create ~diag:t.diag m setup.Ssta.Experiment.locations)
     models
 
-(* The seed-independent half of sampler construction: the expensive shared
-   resources (Cholesky factor / KLE samplers) that a coalesced batch pays
-   for once. [sampler_fn_of] then binds a member's seed, so a batched
-   request and the equivalent unbatched one draw bit-identical samples. *)
-let sampler_resources t (setup : Ssta.Experiment.circuit_setup) kind ~r =
+let mc_sampler_of t (setup : Ssta.Experiment.circuit_setup) kind ~r ~seed :
+    Ssta.Experiment.sampler * float * tier =
+  let timer = Util.Timer.start () in
   match (kind : Protocol.sampler_kind) with
   | Protocol.Cholesky ->
-      let timer = Util.Timer.start () in
       let a1 = Ssta.Algorithm1.prepare ~diag:t.diag ?jobs:t.config.jobs (process ()) setup.Ssta.Experiment.locations in
-      (`Cholesky a1, Util.Timer.elapsed_s timer, Miss)
+      ((fun rng ~n -> Ssta.Algorithm1.sample_block a1 rng ~n), Util.Timer.elapsed_s timer, Miss)
   | Protocol.Kle ->
-      let timer = Util.Timer.start () in
       let models, tier = get_models t (process ()) ~r in
       let samplers = kle_samplers t models setup in
-      (`Kle samplers, Util.Timer.elapsed_s timer, tier)
+      ( (fun rng ~n -> Array.map (fun s -> Kle.Sampler.sample_matrix s rng ~n) samplers),
+        Util.Timer.elapsed_s timer,
+        tier )
   | Protocol.Kle_qmc ->
-      let timer = Util.Timer.start () in
       let models, tier = get_models t (process ()) ~r in
       let samplers = kle_samplers t models setup in
-      (`Qmc samplers, Util.Timer.elapsed_s timer, tier)
-
-let sampler_fn_of resources ~seed : Ssta.Experiment.sampler =
-  match resources with
-  | `Cholesky a1 -> fun rng ~n -> Ssta.Algorithm1.sample_block a1 rng ~n
-  | `Kle samplers ->
-      fun rng ~n -> Array.map (fun s -> Kle.Sampler.sample_matrix s rng ~n) samplers
-  | `Qmc samplers ->
       (* stateful randomized-Halton sequences, one per parameter; run_mc
          calls the sampler batch by batch in order on one domain, so the
-         sequence position advances deterministically. Sequences are bound
-         per seed (not shared across a batch group), keeping every member's
-         draws identical to its unbatched run. *)
+         sequence position advances deterministically *)
       let seqs =
         Array.mapi
           (fun i s ->
@@ -481,16 +460,13 @@ let sampler_fn_of resources ~seed : Ssta.Experiment.sampler =
               ~dim:(Kle.Sampler.dim s) ())
           samplers
       in
-      fun _rng ~n ->
-        Array.mapi
-          (fun i s ->
-            Kle.Sampler.sample_matrix_with s ~xi:(Prng.Lowdisc.normal_matrix seqs.(i) ~rows:n))
-          samplers
-
-let mc_sampler_of t (setup : Ssta.Experiment.circuit_setup) kind ~r ~seed :
-    Ssta.Experiment.sampler * float * tier =
-  let resources, seconds, tier = sampler_resources t setup kind ~r in
-  (sampler_fn_of resources ~seed, seconds, tier)
+      ( (fun _rng ~n ->
+          Array.mapi
+            (fun i s ->
+              Kle.Sampler.sample_matrix_with s ~xi:(Prng.Lowdisc.normal_matrix seqs.(i) ~rows:n))
+            samplers),
+        Util.Timer.elapsed_s timer,
+        tier )
 
 let float_list a = Jsonx.List (Array.to_list (Array.map (fun v -> Jsonx.Num v) a))
 
@@ -536,16 +512,8 @@ let store_stats_payload store =
       ("bytes", Jsonx.Num (float_of_int s.Persist.Store.bytes));
     ]
 
-let batch_stats_payload (s : Batch.stats) =
-  Jsonx.Obj
-    [
-      ("appended", Jsonx.Num (float_of_int s.Batch.appended));
-      ("flushed_groups", Jsonx.Num (float_of_int s.Batch.flushed_groups));
-      ("max_group", Jsonx.Num (float_of_int s.Batch.max_group));
-    ]
-
 let stats_payload t =
-  let queue_len = Mutex.protect t.lock (fun () -> t.queued) in
+  let queue_len = Mutex.protect t.lock (fun () -> Queue.length t.queue) in
   Jsonx.Obj
     ([
        ("requests", Jsonx.Num (float_of_int (Atomic.get t.n_requests)));
@@ -570,24 +538,13 @@ let stats_payload t =
        ("draining", Jsonx.Bool (Atomic.get t.draining));
        ("lru", lru_stats_payload (Lru.stats t.cache));
      ]
-    @ (match t.batcher with
-      | None -> []
-      | Some b ->
-          let fields =
-            match batch_stats_payload (Batch.stats b) with Jsonx.Obj f -> f | _ -> []
-          in
-          [
-            ( "batch",
-              Jsonx.Obj
-                (("window_ms", Jsonx.Num (t.config.batch_window_s *. 1e3)) :: fields) );
-          ])
     @ match t.store with None -> [] | Some store -> [ ("store", store_stats_payload store) ])
 
 (* the chaos harness's recovery probe: counters, queue state and a
    directory scan — explicit about what "healthy" means: accepting work
    and not draining. Idle recovery shows as workers_busy=0, queue_depth=0 *)
 let health_payload t =
-  let queue_depth = Mutex.protect t.lock (fun () -> t.queued) in
+  let queue_depth = Mutex.protect t.lock (fun () -> Queue.length t.queue) in
   let draining = Atomic.get t.draining in
   Jsonx.Obj
     ([
@@ -619,7 +576,7 @@ let health_payload t =
    (tracing-gated request attribution, pool/kernel work counters).
    Trace names are prefixed to keep the two namespaces from colliding. *)
 let unified_counters t =
-  let queue_depth = Mutex.protect t.lock (fun () -> t.queued) in
+  let queue_depth = Mutex.protect t.lock (fun () -> Queue.length t.queue) in
   [
     ("requests", Atomic.get t.n_requests);
     ("errors", Atomic.get t.n_errors);
@@ -640,15 +597,6 @@ let unified_counters t =
     ("workers_busy", Atomic.get t.busy);
     ("workers", t.config.workers);
   ]
-  @ (match t.batcher with
-    | None -> []
-    | Some b ->
-        let s = Batch.stats b in
-        [
-          ("batch_appended", s.Batch.appended);
-          ("batch_flushed_groups", s.Batch.flushed_groups);
-          ("batch_max_group", s.Batch.max_group);
-        ])
   @ List.map (fun (name, v) -> ("trace_" ^ name, v)) (Util.Trace.counters ())
 
 let execute t (request : Protocol.request) : Jsonx.t =
@@ -803,16 +751,10 @@ let safe_reply t job response =
     job.reply_write_ns <- Util.Trace.now_ns () - t0
   end
 
-(* Entering the drain flushes the accumulation windows on both sides of the
-   flag flip: groups flushed before it still execute; adds racing the flip
-   are flushed into the [`Draining] verdict and answered [shutting_down]. *)
 let enter_draining t =
-  (match t.batcher with Some b -> Batch.flush_all b | None -> ());
-  Mutex.lock t.lock;
-  Atomic.set t.draining true;
-  Condition.broadcast t.not_empty;
-  Mutex.unlock t.lock;
-  match t.batcher with Some b -> Batch.flush_all b | None -> ()
+  Mutex.protect t.lock (fun () ->
+      Atomic.set t.draining true;
+      Condition.broadcast t.not_empty)
 
 (* Util.Trace.now_ns reads the raw monotonic clock — it is NOT gated by
    the tracing flag, so deadlines stay live when tracing is disabled
@@ -832,15 +774,8 @@ let check_deadline t job =
   end;
   not expired
 
-let reply_error t job code msg =
-  Atomic.incr t.n_errors;
-  Util.Trace.incr c_errors;
-  safe_reply t job
-    (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job) code msg)
-
-(* Per-member stage breakdown, recorded after the reply is on the wire:
-   batch_wait (submission -> queue admission; ~0 on the direct path, so
-   every stage histogram is always populated), queue_wait (admission ->
+(* Per-request stage breakdown, recorded after the reply is on the wire:
+   batch_wait (ingress decode -> queue admission), queue_wait (admission ->
    dequeue), cache_lookup (the per-domain cache clock), compute (execution
    net of cache time), reply_write (inside [safe_reply]). Deadline-expired
    requests are not recorded — they never executed, and their zeros would
@@ -904,138 +839,6 @@ let run_job t job =
     if Atomic.get t.shutdown_flag && not (Atomic.get t.draining) then enter_draining t
   end
 
-(* A coalesced run_mc group: every member shares the model-spec key, so the
-   circuit setup and sampler resources are resolved once and each member
-   only pays its own sampling + STA sweep. Seeds are bound per member
-   ([sampler_fn_of]), keeping results bit-identical to unbatched runs. *)
-let run_group t jobs =
-  let live = List.filter (check_deadline t) jobs in
-  match live with
-  | [] -> ()
-  | first :: _ -> (
-      let dequeue_ns = Util.Trace.now_ns () in
-      List.iter
-        (fun _ ->
-          Atomic.incr t.n_requests;
-          Util.Trace.incr c_requests)
-        live;
-      let req_ids = String.concat "," (List.map (fun job -> job.req_id) live) in
-      let clk = Domain.DLS.get cache_clock_key in
-      match first.request.Protocol.call with
-      | Protocol.Run_mc { circuit; sampler; r; _ } -> (
-          cache_clock_reset clk;
-          let s0 = Util.Trace.now_ns () in
-          let shared =
-            Util.Trace.with_span
-              ~attrs:
-                [
-                  ("method", "run_mc");
-                  ("group", string_of_int (List.length live));
-                  (* the coalesced group records every member's correlation
-                     ID, so a trace span maps back to each client request *)
-                  ("req_ids", req_ids);
-                ]
-              "serve.batch"
-            @@ fun () ->
-            match
-              match get_setup t circuit with
-              | Error (code, msg) -> Error (code, msg)
-              | Ok (setup, setup_tier) ->
-                  let resources, seconds, tier = sampler_resources t setup sampler ~r in
-                  Ok (setup, setup_tier, resources, seconds, tier)
-            with
-            | v -> v
-            | exception Reject (code, msg) -> Error (code, msg)
-            | exception Util.Diag.Failure event ->
-                Error (Protocol.Internal_error, Util.Diag.to_string event)
-            | exception Invalid_argument msg -> Error (Protocol.Bad_params, msg)
-            | exception e -> Error (Protocol.Internal_error, Printexc.to_string e)
-          in
-          (* shared prep is attributed to every member: each one would have
-             paid it alone, and charging it keeps batched-vs-direct compute
-             histograms comparable *)
-          let shared_ns = Util.Trace.now_ns () - s0 in
-          let shared_cache_ns = cache_clock_read clk in
-          match shared with
-          | Error (code, msg) ->
-              List.iter
-                (fun job ->
-                  reply_error t job code msg;
-                  record_stages t job ~method_:"run_mc" ~ok:false ~dequeue_ns
-                    ~exec_ns:shared_ns ~cache_ns:shared_cache_ns)
-                live
-          | Ok (setup, setup_tier, resources, setup_seconds, tier) ->
-              List.iter
-                (fun job ->
-                  match job.request.Protocol.call with
-                  | Protocol.Run_mc { seed; n; batch; full; _ } ->
-                      cache_clock_reset clk;
-                      let ok = ref true in
-                      let m0 = Util.Trace.now_ns () in
-                      let response =
-                        Util.Trace.with_span
-                          ~attrs:[ ("method", "run_mc"); ("req_id", job.req_id) ]
-                          "serve.request"
-                        @@ fun () ->
-                        match
-                          let sampler_fn = sampler_fn_of resources ~seed in
-                          let mc =
-                            Ssta.Experiment.run_mc ?batch ?jobs:t.config.jobs ~diag:t.diag
-                              setup ~sampler:sampler_fn ~seed ~n
-                          in
-                          let fields =
-                            match mc_payload ~full mc with Jsonx.Obj f -> f | _ -> []
-                          in
-                          Jsonx.Obj
-                            (fields
-                            @ [
-                                ("cache_setup", Jsonx.Str (tier_name setup_tier));
-                                ("cache_models", Jsonx.Str (tier_name tier));
-                                ("sampler_setup_seconds", Jsonx.Num setup_seconds);
-                              ])
-                        with
-                        | payload ->
-                            job.codec.rc_ok ~id:job.request.Protocol.id
-                              ~req_id:(echo_req_id job) payload
-                        | exception Util.Diag.Failure event ->
-                            ok := false;
-                            Atomic.incr t.n_errors;
-                            Util.Trace.incr c_errors;
-                            job.codec.rc_error ~id:job.request.Protocol.id
-                              ~req_id:(echo_req_id job) Protocol.Internal_error
-                              (Util.Diag.to_string event)
-                        | exception Invalid_argument msg ->
-                            ok := false;
-                            Atomic.incr t.n_errors;
-                            Util.Trace.incr c_errors;
-                            job.codec.rc_error ~id:job.request.Protocol.id
-                              ~req_id:(echo_req_id job) Protocol.Bad_params msg
-                        | exception e ->
-                            ok := false;
-                            Atomic.incr t.n_errors;
-                            Util.Trace.incr c_errors;
-                            job.codec.rc_error ~id:job.request.Protocol.id
-                              ~req_id:(echo_req_id job) Protocol.Internal_error
-                              (Printexc.to_string e)
-                      in
-                      let member_ns = Util.Trace.now_ns () - m0 in
-                      let member_cache_ns = cache_clock_read clk in
-                      safe_reply t job response;
-                      record_stages t job ~method_:"run_mc" ~ok:!ok ~dequeue_ns
-                        ~exec_ns:(shared_ns + member_ns)
-                        ~cache_ns:(shared_cache_ns + member_cache_ns)
-                  | _ ->
-                      (* the batch key admits only run_mc; anything else here
-                         is a collector bug, answered typed not crashed *)
-                      reply_error t job Protocol.Internal_error
-                        "non-run_mc request in a coalesced group")
-                live)
-      | _ ->
-          List.iter
-            (fun job ->
-              reply_error t job Protocol.Internal_error "non-run_mc request in a coalesced group")
-            live)
-
 (* deterministic scheduling failure, injected between dequeue and
    execution (or, for [chaos_crash_after], between the reply and the
    slot release) — it escapes [run_job]'s catch-all on purpose, so the
@@ -1051,43 +854,37 @@ let maybe_crash plan =
 (* [slot] is the worker's in-flight job, visible to the crash handler:
    when the body dies the supervisor must know which request was being
    executed to re-queue or quarantine it *)
-let worker_loop t (slot : job list ref) () =
+let worker_loop t (slot : job option ref) () =
   let rec next () =
     Mutex.lock t.lock;
     let rec wait () =
-      if not (Queue.is_empty t.queue) then begin
-        let group = Queue.pop t.queue in
-        t.queued <- t.queued - List.length group;
-        Some group
-      end
+      if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
       else if Atomic.get t.draining then None
       else begin
         Condition.wait t.not_empty t.lock;
         wait ()
       end
     in
-    let group = wait () in
+    let job = wait () in
     Mutex.unlock t.lock;
-    match group with
+    match job with
     | None -> ()
-    | Some group ->
-        slot := group;
+    | Some job ->
+        slot := Some job;
         Atomic.incr t.busy;
         maybe_crash t.config.chaos_crash;
-        (match group with [ job ] -> run_job t job | jobs -> run_group t jobs);
+        run_job t job;
         maybe_crash t.config.chaos_crash_after;
-        slot := [];
+        slot := None;
         Atomic.decr t.busy;
         next ()
   in
   next ()
 
-(* the supervision policy: account for the in-flight group (retry each
-   unreplied member once on a restarted worker, quarantine after a second
-   kill), then restart unless the pool is draining. Retries re-queue as
-   singletons — a member that crashed a worker never rides in a group
-   again, so one poison member can't take its groupmates down twice. *)
-let on_worker_crash t (slot : job list ref) e ~restarts =
+(* the supervision policy: account for the in-flight job (retry it once on
+   a restarted worker, quarantine after a second kill), then restart
+   unless the pool is draining *)
+let on_worker_crash t (slot : job option ref) e ~restarts =
   (* restart accounting first, so any reply sent below (quarantine,
      draining) observes up-to-date counters on the client side *)
   let outcome =
@@ -1103,45 +900,39 @@ let on_worker_crash t (slot : job list ref) e ~restarts =
     end
   in
   (match !slot with
-  | [] -> ()
-  | inflight ->
-      slot := [];
+  | None -> ()
+  | Some job ->
+      slot := None;
       Atomic.decr t.busy;
-      List.iter
-        (fun job ->
-          (* jobs that replied before the crash point are retried too: the
-             re-run's reply is suppressed by the [safe_reply] guard (and a
-             duplicate-reply diagnostic recorded), never written twice *)
-          let attempts = 1 + Atomic.fetch_and_add job.attempts 1 in
-          if attempts >= 2 then begin
-            Atomic.incr t.n_quarantined;
-            Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
-              ~stage:"serve.worker"
-              (Printf.sprintf "request id=%s quarantined after crashing %d workers"
-                 (Jsonx.to_string job.request.Protocol.id)
-                 attempts);
-            safe_reply t job
-              (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-                 Protocol.Internal_error
-                 (Printf.sprintf "request crashed the worker %d times — quarantined"
-                    attempts))
-          end
-          else if Atomic.get t.draining then
-            safe_reply t job
-              (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
-                 Protocol.Shutting_down
-                 "worker crashed while draining; request not retried")
-          else begin
-            Atomic.incr t.n_requeued;
-            (* the retry re-enters the queue now; resetting the admission
-               stamp keeps queue_wait honest for the re-run *)
-            job.enqueued_ns <- Util.Trace.now_ns ();
-            Mutex.protect t.lock (fun () ->
-                Queue.push [ job ] t.queue;
-                t.queued <- t.queued + 1;
-                Condition.signal t.not_empty)
-          end)
-        inflight);
+      (* a job that replied before the crash point is retried too: the
+         re-run's reply is suppressed by the [safe_reply] guard (and a
+         duplicate-reply diagnostic recorded), never written twice *)
+      let attempts = 1 + Atomic.fetch_and_add job.attempts 1 in
+      if attempts >= 2 then begin
+        Atomic.incr t.n_quarantined;
+        Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
+          ~stage:"serve.worker"
+          (Printf.sprintf "request id=%s quarantined after crashing %d workers"
+             (Jsonx.to_string job.request.Protocol.id)
+             attempts);
+        safe_reply t job
+          (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
+             Protocol.Internal_error
+             (Printf.sprintf "request crashed the worker %d times — quarantined" attempts))
+      end
+      else if Atomic.get t.draining then
+        safe_reply t job
+          (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)
+             Protocol.Shutting_down "worker crashed while draining; request not retried")
+      else begin
+        Atomic.incr t.n_requeued;
+        (* the retry re-enters the queue now; resetting the admission
+           stamp keeps queue_wait honest for the re-run *)
+        job.enqueued_ns <- Util.Trace.now_ns ();
+        Mutex.protect t.lock (fun () ->
+            Queue.push job t.queue;
+            Condition.signal t.not_empty)
+      end);
   outcome
 
 let reject_job t job verdict =
@@ -1158,32 +949,24 @@ let reject_job t job verdict =
            Protocol.Overloaded
            (Printf.sprintf "queue full (%d pending)" t.config.queue_capacity))
 
-(* The single enqueue point: a group is admitted whole or rejected whole,
-   with per-member typed replies on rejection (shed, not collapse). *)
-let enqueue_group t jobs =
-  match jobs with
-  | [] -> ()
-  | _ -> (
-      let size = List.length jobs in
-      let verdict =
-        Mutex.protect t.lock (fun () ->
-            if Atomic.get t.draining then `Draining
-            else if t.queued >= t.config.queue_capacity then `Full
-            else begin
-              (* queue admission: everything before this stamp is batch
-                 window (or ~0 on the direct path), everything after until
-                 dequeue is queue_wait *)
-              let now = Util.Trace.now_ns () in
-              List.iter (fun job -> job.enqueued_ns <- now) jobs;
-              Queue.push jobs t.queue;
-              t.queued <- t.queued + size;
-              Condition.signal t.not_empty;
-              `Queued
-            end)
-      in
-      match verdict with
-      | `Queued -> ()
-      | (`Draining | `Full) as v -> List.iter (fun job -> reject_job t job v) jobs)
+(* The single enqueue point: a job is admitted while the queue holds fewer
+   than [queue_capacity] jobs, otherwise answered with a typed rejection
+   (shed, not collapse). *)
+let enqueue t job =
+  let verdict =
+    Mutex.protect t.lock (fun () ->
+        if Atomic.get t.draining then `Draining
+        else if Queue.length t.queue >= t.config.queue_capacity then `Full
+        else begin
+          (* queue admission: everything before this stamp is batch_wait,
+             everything after until dequeue is queue_wait *)
+          job.enqueued_ns <- Util.Trace.now_ns ();
+          Queue.push job t.queue;
+          Condition.signal t.not_empty;
+          `Queued
+        end)
+  in
+  match verdict with `Queued -> () | (`Draining | `Full) as v -> reject_job t job v
 
 (* ---------------------------------------------------------------- *)
 (* lifecycle *)
@@ -1216,8 +999,6 @@ let create ?diag config =
       depgraph = Option.map Persist.Depgraph.create store;
       cache = Lru.create ~capacity:config.cache_entries;
       queue = Queue.create ();
-      queued = 0;
-      batcher = None;
       lock = Mutex.create ();
       not_empty = Condition.create ();
       inflight = Hashtbl.create 8;
@@ -1251,37 +1032,11 @@ let create ?diag config =
   in
   t.worker_handles <-
     List.init config.workers (fun _ ->
-        let slot = ref [] in
+        let slot = ref None in
         Supervisor.spawn ~on_crash:(on_worker_crash t slot) (worker_loop t slot));
-  if config.batch_window_s > 0. && config.batch_max > 1 then
-    t.batcher <-
-      Some
-        (Batch.create ~window_s:config.batch_window_s ~max_batch:config.batch_max
-           ~flush:(fun _key jobs -> enqueue_group t jobs));
   t
 
 let shutdown_requested t = Atomic.get t.shutdown_flag
-
-(* Coalescing key: requests that share it run as one group with shared
-   circuit-setup and sampler-resource resolution. Cheap on purpose (no
-   netlist parse — inline bench text keys by content hash); only run_mc is
-   coalescable, and the seed/n/batch/full members may differ freely. *)
-let batch_key (request : Protocol.request) =
-  match request.Protocol.call with
-  | Protocol.Run_mc { circuit; sampler; r; _ } ->
-      let circuit_token =
-        match circuit with
-        | Protocol.Named name -> "name:" ^ name
-        | Protocol.Bench_text text -> "bench:" ^ Persist.Codec.fnv64_hex text
-      in
-      Some
-        (Printf.sprintf "%s;sampler=%s;r=%s" circuit_token
-           (match sampler with
-           | Protocol.Cholesky -> "cholesky"
-           | Protocol.Kle -> "kle"
-           | Protocol.Kle_qmc -> "kle-qmc")
-           (match r with None -> "auto" | Some r -> string_of_int r))
-  | _ -> None
 
 let submit_wire t ~wire payload ~reply =
   let codec = match wire with `Json -> json_codec | `Binary -> binary_codec in
@@ -1325,20 +1080,7 @@ let submit_wire t ~wire payload ~reply =
           reply_write_ns = 0;
         }
       in
-      match (t.batcher, batch_key request) with
-      | Some batcher, Some key ->
-          (* backpressure is still checked here (fail fast under overload)
-             and re-checked at flush by [enqueue_group] *)
-          let verdict =
-            Mutex.protect t.lock (fun () ->
-                if Atomic.get t.draining then `Draining
-                else if t.queued >= t.config.queue_capacity then `Full
-                else `Queued)
-          in
-          (match verdict with
-          | `Queued -> Batch.add batcher ~key job
-          | (`Draining | `Full) as v -> reject_job t job v)
-      | _ -> enqueue_group t [ job ])
+      enqueue t job)
 
 let submit t line ~reply = submit_wire t ~wire:`Json line ~reply
 
@@ -1349,9 +1091,6 @@ let quarantined t = Atomic.get t.n_quarantined
 
 let drain ?timeout_s t =
   begin_drain t;
-  (* stop the batch timer thread; any still-open groups flush into the
-     draining verdict and are answered shutting_down *)
-  (match t.batcher with Some b -> Batch.shutdown b | None -> ());
   if not t.joined then begin
     (* joins happen on a dedicated thread so a stuck worker can only cost
        us the timeout, never hang the caller forever; the thread is

@@ -5,8 +5,7 @@
     per-stage breakdown — where it waited and where it worked:
 
     - [queue_wait]: from entering the worker queue to being dequeued;
-    - [batch_wait]: from submission to entering the queue (the coalescing
-      window; ~0 for requests that bypass the batcher);
+    - [batch_wait]: from ingress decode to queue admission;
     - [cache_lookup]: time inside the cache tiers (memory LRU, disk store,
       single-flight waits) during execution;
     - [compute]: execution time net of cache lookups;

@@ -127,38 +127,6 @@ let test_column_correlation_unit_diagonal () =
     check_close ~tol:1e-12 "unit diagonal" 1.0 (Linalg.Mat.get corr j j)
   done
 
-(* ---------- Histogram ---------- *)
-
-let test_histogram_counts () =
-  let h = Stats.Histogram.of_array ~lo:0.0 ~hi:10.0 ~bins:5 [| 1.0; 3.0; 5.0; 7.0; 9.0; 11.0; -1.0 |] in
-  Alcotest.(check (array int)) "counts" [| 1; 1; 1; 1; 1 |] (Stats.Histogram.counts h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "total" 7 (Stats.Histogram.total h)
-
-let test_histogram_edges () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  let edges = Stats.Histogram.bin_edges h in
-  Alcotest.(check int) "edge count" 5 (Array.length edges);
-  check_close "last edge" 1.0 edges.(4)
-
-let test_histogram_boundary_values () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:2 in
-  Stats.Histogram.add h 0.0;
-  (* lo is inclusive *)
-  Stats.Histogram.add h 1.0;
-  (* hi is exclusive -> overflow *)
-  Alcotest.(check (array int)) "bins" [| 1; 0 |] (Stats.Histogram.counts h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "bad range" (Invalid_argument "Histogram.create: requires lo < hi")
-    (fun () -> ignore (Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:3))
-
-let test_histogram_ascii_nonempty () =
-  let h = Stats.Histogram.of_array ~lo:0.0 ~hi:1.0 ~bins:3 [| 0.1; 0.5; 0.9 |] in
-  Alcotest.(check bool) "renders" true (String.length (Stats.Histogram.to_ascii h) > 0)
-
 (* ---------- qcheck ---------- *)
 
 let arb_samples =
@@ -245,14 +213,6 @@ let () =
           Alcotest.test_case "covariance known" `Quick test_covariance_known;
           Alcotest.test_case "column covariance" `Quick test_column_covariance_diagonal;
           Alcotest.test_case "correlation unit diagonal" `Quick test_column_correlation_unit_diagonal;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts and flows" `Quick test_histogram_counts;
-          Alcotest.test_case "bin edges" `Quick test_histogram_edges;
-          Alcotest.test_case "boundary values" `Quick test_histogram_boundary_values;
-          Alcotest.test_case "invalid config raises" `Quick test_histogram_invalid;
-          Alcotest.test_case "ascii rendering" `Quick test_histogram_ascii_nonempty;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -95,14 +95,20 @@ let test_pool_covers_all_indices () =
       let n = 1013 in
       let hits = Array.make n 0 in
       let lock = Mutex.create () in
+      (* Alcotest's check is not domain-safe, so the body only records
+         violations and the test asserts on the submitting domain *)
+      let misaligned = ref 0 and bad_ranges = ref 0 in
       Util.Pool.parallel_for pool ~chunk:7 ~n (fun lo hi ->
-          Alcotest.(check bool) "lo chunk-aligned" true (lo mod 7 = 0);
-          Alcotest.(check bool) "range non-empty" true (lo < hi && hi <= n);
           Mutex.lock lock;
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done;
+          if lo mod 7 <> 0 then incr misaligned;
+          if lo < hi && hi <= n then
+            for i = lo to hi - 1 do
+              hits.(i) <- hits.(i) + 1
+            done
+          else incr bad_ranges;
           Mutex.unlock lock);
+      Alcotest.(check int) "lo chunk-aligned" 0 !misaligned;
+      Alcotest.(check int) "range non-empty" 0 !bad_ranges;
       Array.iteri
         (fun i c -> Alcotest.(check int) (Printf.sprintf "index %d hit once" i) 1 c)
         hits)
