@@ -491,7 +491,8 @@ let eigtime () =
     ~wall_s:(dt_assemble +. !paper_solution_time)
 
 (* ---------------------------------------------------------------- *)
-(* scale: sweep the mesh size across all three apply strategies.  Uses a
+(* scale: sweep the mesh size across all three apply strategies, each
+   built explicitly (the H-matrix is no Galerkin.solve path).  Uses a
    Matern kernel with non-half-integer smoothness, whose exact evaluation
    goes through Bessel-K quadrature — the expensive-kernel regime the
    radial profile table targets.  The assembled path pays ~n^2/2 exact
@@ -550,8 +551,9 @@ let scale () =
         else
           Some
             (Util.Timer.time (fun () ->
-                 Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free ~solver
-                   ?jobs:opts.jobs mesh kernel))
+                 Kle.Galerkin.solve_with_operator ~solver ?jobs:opts.jobs
+                   ~op:(Kle.Operator.galerkin ?jobs:opts.jobs mesh kernel)
+                   mesh kernel))
       in
       (* hierarchical: build and solve timed apart, so the one-off
          compression cost is visible next to the per-solve payoff *)
@@ -572,7 +574,7 @@ let scale () =
             Kle.Galerkin.solve_with_operator ~solver ?jobs:opts.jobs
               ~op:(Kle.Operator.of_hmatrix hm) mesh kernel)
       in
-      let stats = hm.Kle.Hmatrix.stats in
+      let stats = Kle.Hmatrix.stats hm in
       let words = Kle.Hmatrix.words hm in
       let dense_words = n * n in
       hpoints := (n, stats.Kle.Hmatrix.entry_evals, words) :: !hpoints;
@@ -1236,7 +1238,6 @@ let smoke () =
    Serve.Router — the same engines bin/ssta_serve.exe exposes. *)
 let serve_bench () =
   header "Serving: persistent KLE model store + concurrent analysis server";
-  let module J = Serve.Jsonx in
   let c0 = Util.Trace.counters () in
   let store_dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1252,11 +1253,11 @@ let serve_bench () =
     }
   in
   let request id meth params =
-    J.to_string
-      (J.Obj
-         [ ("id", J.Num (float_of_int id)); ("method", J.Str meth); ("params", J.Obj params) ])
+    Util.Jsonx.(
+      to_string
+        (Obj [ ("id", Num (float_of_int id)); ("method", Str meth); ("params", Obj params) ]))
   in
-  let c880 = ("circuit", J.Obj [ ("name", J.Str "c880") ]) in
+  let c880 = ("circuit", Util.Jsonx.Obj [ ("name", Util.Jsonx.Str "c880") ]) in
   let client_for server =
     Serve.Client.create
       ~policy:
@@ -1265,7 +1266,7 @@ let serve_bench () =
   in
   let must_ok client line =
     match Serve.Client.call client line with
-    | Ok payload -> J.to_string payload
+    | Ok payload -> Util.Jsonx.to_string payload
     | Error f ->
         pf "FAIL: request %s -> %s\n" line (Serve.Client.failure_to_string f);
         exit 1
@@ -1321,7 +1322,7 @@ let serve_bench () =
   let n_mc = 64 in
   let mc_request ~id ~variant ~seed =
     {
-      Serve.Protocol.id = J.Num (float_of_int id);
+      Serve.Protocol.id = Util.Jsonx.Num (float_of_int id);
       req_id = None;
       deadline_ms = None;
       call =
@@ -1349,13 +1350,13 @@ let serve_bench () =
   in
   let payload_bits payload =
     let num key =
-      Option.map Int64.bits_of_float (Option.bind (J.member key payload) J.as_num)
+      Option.map Int64.bits_of_float (Option.bind (Util.Jsonx.member key payload) Util.Jsonx.as_num)
     in
     let arr key =
-      match J.member key payload with
-      | Some (J.List items) ->
+      match Util.Jsonx.member key payload with
+      | Some (Util.Jsonx.List items) ->
           List.map
-            (function J.Num f -> Int64.bits_of_float f | _ -> Int64.minus_one)
+            (function Util.Jsonx.Num f -> Int64.bits_of_float f | _ -> Int64.minus_one)
             items
       | _ -> []
     in

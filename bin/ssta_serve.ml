@@ -85,7 +85,7 @@ let serve_stream fe ic oc =
                (* framing is lost and cannot be resynchronised: answer once,
                   then drop the connection *)
                reply
-                 (Serve.Wire.error_response ~id:Serve.Jsonx.Null
+                 (Serve.Wire.error_response ~id:Util.Jsonx.Null
                     Serve.Protocol.Parse_error msg);
                raise End_of_file
            | Ok payload ->
@@ -205,7 +205,7 @@ type shard_link = {
   loc : out_channel;
   wlock : Mutex.t;
   lpending :
-    (int, (Serve.Jsonx.t, Serve.Protocol.error_code * string) result -> unit) Hashtbl.t;
+    (int, (Util.Jsonx.t, Serve.Protocol.error_code * string) result -> unit) Hashtbl.t;
   mutable lnext : int;
 }
 
@@ -235,7 +235,7 @@ let shard_send shard request ~reply =
       in
       let frame =
         Serve.Wire.encode_request
-          { request with Serve.Protocol.id = Serve.Jsonx.Num (float_of_int id) }
+          { request with Serve.Protocol.id = Util.Jsonx.Num (float_of_int id) }
       in
       try
         Mutex.protect link.wlock (fun () ->
@@ -258,7 +258,7 @@ let shard_reader shard link () =
            | Ok (id_json, _req_id, result) -> (
                let cb =
                  Mutex.protect shard.slock (fun () ->
-                     match Serve.Jsonx.as_num id_json with
+                     match Util.Jsonx.as_num id_json with
                      | None -> None
                      | Some f -> (
                          let id = int_of_float f in
@@ -451,10 +451,10 @@ let run_client path timeout_s binary =
         | None -> None)
   in
   let key_of_request line =
-    match Serve.Jsonx.parse line with
+    match Util.Jsonx.parse line with
     | Ok json ->
-        Serve.Jsonx.to_string
-          (Option.value (Serve.Jsonx.member "id" json) ~default:Serve.Jsonx.Null)
+        Util.Jsonx.to_string
+          (Option.value (Util.Jsonx.member "id" json) ~default:Util.Jsonx.Null)
     | Error _ -> "null" (* the server echoes id null for unparseable lines *)
   in
   let reader =
@@ -470,7 +470,7 @@ let run_client path timeout_s binary =
                   match Serve.Wire.decode_response payload with
                   | Error _ -> ()
                   | Ok (id, _req_id, _result) -> (
-                      match take (Serve.Jsonx.to_string id) with
+                      match take (Util.Jsonx.to_string id) with
                       | Some cb -> cb (Serve.Wire.frame payload)
                       | None -> ()))
             done
@@ -480,7 +480,7 @@ let run_client path timeout_s binary =
               let line = input_line ic in
               let key =
                 match Serve.Protocol.response_id line with
-                | Some id -> Serve.Jsonx.to_string id
+                | Some id -> Util.Jsonx.to_string id
                 | None -> "null"
               in
               match take key with Some cb -> cb line | None -> ()
@@ -495,8 +495,8 @@ let run_client path timeout_s binary =
         match Serve.Wire.unframe message with
         | Ok payload -> (
             match Serve.Wire.decode_request payload with
-            | Ok r -> Serve.Jsonx.to_string r.Serve.Protocol.id
-            | Error rej -> Serve.Jsonx.to_string rej.Serve.Protocol.reject_id)
+            | Ok r -> Util.Jsonx.to_string r.Serve.Protocol.id
+            | Error rej -> Util.Jsonx.to_string rej.Serve.Protocol.reject_id)
         | Error _ -> "null"
       else key_of_request message
     in
@@ -523,7 +523,7 @@ let run_client path timeout_s binary =
     | Error f ->
         incr failures;
         Printf.eprintf "ssta_serve --client: request id=%s failed: %s\n%!"
-          (Serve.Jsonx.to_string id)
+          (Util.Jsonx.to_string id)
           (Serve.Client.failure_to_string f)
   in
   (try
@@ -546,13 +546,13 @@ let run_client path timeout_s binary =
                  (Serve.Client.call_request client request)
          else begin
            let id, req_id =
-             match Serve.Jsonx.parse line with
+             match Util.Jsonx.parse line with
              | Ok json ->
-                 ( Option.value (Serve.Jsonx.member "id" json)
-                     ~default:Serve.Jsonx.Null,
-                   Option.bind (Serve.Jsonx.member "req_id" json)
-                     Serve.Jsonx.as_str )
-             | Error _ -> (Serve.Jsonx.Null, None)
+                 ( Option.value (Util.Jsonx.member "id" json)
+                     ~default:Util.Jsonx.Null,
+                   Option.bind (Util.Jsonx.member "req_id" json)
+                     Util.Jsonx.as_str )
+             | Error _ -> (Util.Jsonx.Null, None)
            in
            print_result id ?req_id (Serve.Client.call client line)
          end
@@ -585,7 +585,7 @@ let json_log_sink () =
   let lock = Mutex.create () in
   fun json ->
     Mutex.protect lock (fun () ->
-        output_string stderr (Serve.Jsonx.to_string json);
+        output_string stderr (Util.Jsonx.to_string json);
         output_char stderr '\n';
         flush stderr)
 
@@ -667,7 +667,7 @@ let run store_dir socket client fsck repair gc_max_bytes timeout_s binary
       (match stats_file with
       | Some path ->
           Util.Fileio.write_atomic path
-            (Serve.Jsonx.to_string (Serve.Server.stats_payload server) ^ "\n")
+            (Util.Jsonx.to_string (Serve.Server.stats_payload server) ^ "\n")
       | None -> ());
       (match trace_file with
       | Some path -> Util.Trace.write_chrome_trace path

@@ -5,7 +5,7 @@ type quadrature = Operator.quadrature = Centroid | Midedge
 
 type solver = Dense | Lanczos of { count : int }
 
-type mode = Auto | Assembled | Matrix_free | Hierarchical
+type mode = Auto | Assembled
 
 type solution = {
   mesh : Mesh.t;
@@ -60,12 +60,13 @@ let trace mesh kernel =
   done;
   !acc
 
-let default_solver n = if n <= 600 then Dense else Lanczos { count = min n 200 }
+(* one size bound for both defaults: up to it the dense QL solver is the
+   default and needs the assembled matrix anyway; above it [Auto] runs
+   Lanczos over the flat operator, skipping the O(n²) assembly *)
+let assembled_max_n = 600
 
-(* Auto switches to matrix-free at the same size at which [default_solver]
-   switches to Lanczos: below it the dense QL solver needs the assembled
-   matrix anyway, above it the O(n²) assembly is the avoidable cost. *)
-let matrix_free_threshold = 600
+let default_solver n =
+  if n <= assembled_max_n then Dense else Lanczos { count = min n 200 }
 
 (* PSD validity check + eigenvector rescale shared by every solve path.
    [raw_vectors_cols j] must return the j-th unit-norm eigenvector of C. *)
@@ -150,14 +151,19 @@ let solve_assembled ~quadrature ~solver ?keep ?lanczos_max_dim ?diag ?jobs mesh
   in
   finalize ?diag mesh kernel quadrature raw_values raw_vectors_cols
 
-(* Lanczos over an already-built matrix-free operator, with the standard
-   No_convergence fallback to assembly + dense QL. Public so callers that
-   build (or load from a {!Persist.Store}) the operator themselves — the
-   analysis server caching hierarchical factors — reuse the exact solve
-   path of {!solve}. *)
+(* Lanczos over an already-built operator, with the standard
+   No_convergence fallback to assembly + dense QL: [solve]'s flat-operator
+   path, and the entry point for an operator the caller builds itself
+   (the H-matrix of [bench scale]). *)
 let solve_with_operator ?(quadrature = Centroid) ~solver ?lanczos_max_dim ?diag
     ?jobs ~op mesh kernel =
   let n = Mesh.size mesh in
+  if Linalg.Operator.dim op <> n then
+    invalid_arg
+      (Printf.sprintf
+         "Galerkin.solve_with_operator: operator dimension %d does not match \
+          the mesh size %d"
+         (Linalg.Operator.dim op) n);
   let count =
     match solver with
     | Lanczos { count } -> count
@@ -185,8 +191,8 @@ let solve_with_operator ?(quadrature = Centroid) ~solver ?lanczos_max_dim ?diag
       solve_assembled ~quadrature ~solver:(Dense : solver) ~keep:count
         ?lanczos_max_dim ?diag ?jobs mesh kernel
 
-let solve ?(quadrature = Centroid) ?(mode = Auto) ?solver ?hier
-    ?lanczos_max_dim ?diag ?jobs mesh kernel =
+let solve ?(quadrature = Centroid) ?(mode = Auto) ?solver ?lanczos_max_dim
+    ?diag ?jobs mesh kernel =
   let n = Mesh.size mesh in
   let solver = match solver with Some s -> s | None -> default_solver n in
   Util.Trace.with_span
@@ -201,31 +207,13 @@ let solve ?(quadrature = Centroid) ?(mode = Auto) ?solver ?hier
   | Lanczos { count } when count <= 0 || count > n ->
       invalid_arg "Galerkin.solve: Lanczos count out of range"
   | _ -> ());
-  let mode =
-    match (mode, solver) with
-    | Auto, Lanczos _ when n > matrix_free_threshold -> Matrix_free
-    | Auto, _ -> Assembled
-    | (Matrix_free | Hierarchical), Dense ->
-        invalid_arg
-          "Galerkin.solve: matrix-free modes require the Lanczos solver \
-           (the dense QL solver factorizes the assembled matrix)"
-    | (Assembled | Matrix_free | Hierarchical), _ -> mode
-  in
-  match mode with
-  | Auto | Assembled ->
-      solve_assembled ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs mesh
-        kernel
-  | Matrix_free | Hierarchical ->
-      let op_mode =
-        match mode with
-        | Hierarchical -> Operator.Hierarchical
-        | _ -> Operator.Table
-      in
-      let op =
-        Operator.galerkin ~quadrature ~mode:op_mode ?hier ?diag ?jobs mesh
-          kernel
-      in
+  match (mode, solver) with
+  | Auto, Lanczos _ when n > assembled_max_n ->
+      let op = Operator.galerkin ~quadrature ?diag ?jobs mesh kernel in
       solve_with_operator ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs ~op
         mesh kernel
+  | (Auto | Assembled), _ ->
+      solve_assembled ~quadrature ~solver ?lanczos_max_dim ?diag ?jobs mesh
+        kernel
 
 let eigenvalue_sum_bound solution = Util.Arrayx.sum solution.eigenvalues

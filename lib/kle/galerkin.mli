@@ -26,18 +26,11 @@ type solver =
 
 type mode =
   | Auto
-      (** matrix-free when the solver is Lanczos and
-          [n > matrix_free_threshold], assembled otherwise *)
-  | Assembled  (** materialize the n×n Galerkin matrix, then eigensolve *)
-  | Matrix_free
-      (** never materialize the matrix: Lanczos over {!Operator.galerkin}
-          (requires a Lanczos solver) *)
-  | Hierarchical
-      (** Lanczos over the O(n log n) H-matrix apply
-          ({!Operator.galerkin} with [mode = Hierarchical]: cluster tree +
-          ACA far field, {!Hmatrix}); requires a Lanczos solver.
-          Eigenvalues carry a controlled relative error of order
-          [hier.tol] *)
+      (** Lanczos over the flat operator ({!Operator.galerkin}) when the
+          solver is Lanczos and [n > 600], assembled otherwise *)
+  | Assembled
+      (** always materialize the n×n Galerkin matrix, then eigensolve —
+          the exact reference the other paths are checked against *)
 
 type solution = {
   mesh : Geometry.Mesh.t;
@@ -60,40 +53,33 @@ val assemble :
     ({!Util.Pool.with_jobs} semantics: default = the shared pool, [1] =
     sequential); the result is bit-identical for every [jobs]. *)
 
-val matrix_free_threshold : int
-(** The [Auto] switchover size (600 triangles — the same size at which
-    {!solve}'s default solver switches from dense QL to Lanczos). *)
-
 val solve :
   ?quadrature:quadrature ->
   ?mode:mode ->
   ?solver:solver ->
-  ?hier:Hmatrix.params ->
   ?lanczos_max_dim:int ->
   ?diag:Util.Diag.sink ->
   ?jobs:int ->
   Geometry.Mesh.t ->
   Kernels.Kernel.t ->
   solution
-(** Solve the Galerkin eigenproblem. Default solver is [Dense] below 600
-    triangles and [Lanczos {count = min n 200}] above; default [mode] is
-    [Auto]. Eigenvalues are clamped at 0 (tiny negative rounding values
-    only). [Matrix_free] or [Hierarchical] with an explicit [Dense] solver
-    raises [Invalid_argument]. [hier] tunes the [Hierarchical] operator
-    build ({!Hmatrix.default_params} otherwise); a hierarchical build
-    whose ACA stalls degrades to the [Table] flat apply with a
-    [`Degraded_fallback] warning (see {!Operator.galerkin}).
+(** Solve the Galerkin eigenproblem — the single eigensolve entry. The
+    path follows from the input: a [Dense] solver or [n ≤ 600] assembles
+    the matrix; a Lanczos solver above that runs over the flat operator
+    (the [Auto] default; [Assembled] forces assembly). Default solver is
+    [Dense] below 600 triangles and [Lanczos {count = min n 200}] above.
+    Eigenvalues are clamped at 0 (tiny negative rounding values only).
 
     Robustness behaviour (all events recorded into [diag] when given):
     - on the assembled path the matrix is scanned for NaN/inf before the
       eigensolve; a non-finite entry raises [Util.Diag.Failure] with
-      [`Non_finite] naming the kernel and element pair — on the matrix-free
+      [`Non_finite] naming the kernel and element pair — on the operator
       path each apply result is scanned instead ([`Non_finite], stage
       ["kle.operator.apply"]);
     - an assembled Lanczos run that fails to converge ([lanczos_max_dim]
       caps its Krylov dimension, mainly for tests) falls back to the dense
       QL solver for the same leading [count] pairs, recording
-      [`No_convergence] and [`Degraded_fallback] warnings; a matrix-free
+      [`No_convergence] and [`Degraded_fallback] warnings; an operator
       run that fails to converge falls back to assembly + dense QL, same
       two warnings, preserving the audit trail;
     - a radial profile table that fails its accuracy guard falls back to
@@ -113,12 +99,13 @@ val solve_with_operator :
   Kernels.Kernel.t ->
   solution
 (** Lanczos over a caller-supplied operator, with {!solve}'s
-    No_convergence fallback (assembly + dense QL) and finalization. For
-    callers that build — or load from a {!Persist.Store} — the operator
-    themselves, e.g. the analysis server reusing cached hierarchical
-    factors. Requires a [Lanczos] solver ([Invalid_argument] otherwise);
-    [op] must be the Galerkin operator of [mesh]/[kernel]/[quadrature]
-    or the returned solution is meaningless. *)
+    No_convergence fallback (assembly + dense QL) and finalization — how
+    an explicitly built H-matrix ({!Operator.hmatrix_galerkin} +
+    {!Operator.of_hmatrix}) is solved. Requires a [Lanczos] solver, and
+    [Operator.dim op] must equal [Mesh.size mesh]; [Invalid_argument]
+    otherwise. [op] must be the Galerkin operator of
+    [mesh]/[kernel]/[quadrature] or the returned solution is
+    meaningless. *)
 
 val eigenvalue_sum_bound : solution -> float
 (** [Σ_j λ_j] over the computed pairs — for a normalized kernel the full sum

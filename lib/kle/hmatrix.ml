@@ -159,64 +159,6 @@ let build ?(params = default_params) ?jobs ~entry points =
 let dim t = t.n
 let stats t = t.stats
 
-(* Structural integrity check for decoded values (Persist.Entity holds a
-   decoded H-matrix to the same standard as a built one). Coverage is
-   checked by area: ranges in bounds, factor shapes consistent, and block
-   areas summing to n² — together with the permutation check this rules
-   out every plausible corruption short of a contrived re-tiling. *)
-let validate t =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let n = t.n in
-  if n <= 0 then err "non-positive dimension %d" n
-  else if Array.length t.perm <> n then
-    err "permutation length %d for dimension %d" (Array.length t.perm) n
-  else begin
-    let seen = Array.make n false in
-    let perm_ok =
-      Array.for_all
-        (fun p ->
-          if p < 0 || p >= n || seen.(p) then false
-          else begin
-            seen.(p) <- true;
-            true
-          end)
-        t.perm
-    in
-    if not perm_ok then err "perm is not a permutation of 0..%d" (n - 1)
-    else begin
-      let area = ref 0 in
-      let bad = ref None in
-      Array.iter
-        (fun b ->
-          let rlo, rhi, clo, chi, rows_ok, cols_ok =
-            match b with
-            | Near { rlo; rhi; clo; chi; data } ->
-                (rlo, rhi, clo, chi, Mat.rows data = rhi - rlo, Mat.cols data = chi - clo)
-            | Far { rlo; rhi; clo; chi; u; v } ->
-                ( rlo,
-                  rhi,
-                  clo,
-                  chi,
-                  Mat.rows u = rhi - rlo && Mat.cols u = Mat.cols v,
-                  Mat.rows v = chi - clo )
-          in
-          if
-            Option.is_none !bad
-            && not
-                 (0 <= rlo && rlo < rhi && rhi <= n && 0 <= clo && clo < chi
-                && chi <= n && rows_ok && cols_ok)
-          then bad := Some (rlo, clo);
-          area := !area + ((rhi - rlo) * (chi - clo)))
-        t.blocks;
-      match !bad with
-      | Some (rlo, clo) -> err "malformed block at (%d, %d)" rlo clo
-      | None ->
-          if !area <> n * n then
-            err "blocks cover %d of %d index pairs" !area (n * n)
-          else Ok ()
-    end
-  end
-
 let words t =
   Array.fold_left
     (fun acc b ->
@@ -227,7 +169,7 @@ let words t =
 
 (* Sequential over blocks in partition order — the matvec is O(n log n),
    so there is nothing worth parallelizing at the sizes where the
-   hierarchical mode is selected, and a fixed order keeps the result
+   H-matrix is used, and a fixed order keeps the result
    bit-identical to any future parallel variant's combine step. *)
 let apply t x =
   if Array.length x <> t.n then

@@ -1,5 +1,7 @@
 (** Hierarchical (H-matrix) form of the symmetric Galerkin operator:
     O(n log n) storage and matvec instead of the flat pair sweep's O(n²).
+    Built explicitly ({!Operator.hmatrix_galerkin}) and solved through
+    {!Galerkin.solve_with_operator}; no {!Galerkin.solve} path selects it.
 
     A {!Cluster} tree over the triangle centroids partitions the index
     square into {e admissible} far-field blocks — compressed to low rank
@@ -23,19 +25,6 @@ type params = {
 val default_params : params
 (** [{tol = 1e-6; eta = 2.0; leaf_size = 48; max_rank = 96}]. *)
 
-type block =
-  | Near of { rlo : int; rhi : int; clo : int; chi : int; data : Linalg.Mat.t }
-      (** dense [(rhi-rlo) × (chi-clo)] near-field block, row/column
-          ranges in the permuted ordering *)
-  | Far of {
-      rlo : int;
-      rhi : int;
-      clo : int;
-      chi : int;
-      u : Linalg.Mat.t;
-      v : Linalg.Mat.t;
-    }  (** low-rank far-field block [u·vᵀ] ({!Linalg.Lowrank} layout) *)
-
 type stats = {
   tree_nodes : int;
   tree_depth : int;
@@ -46,14 +35,9 @@ type stats = {
   entry_evals : int;  (** total entry evaluations spent building *)
 }
 
-type t = {
-  n : int;
-  perm : int array;  (** {!Cluster.perm} of the underlying tree *)
-  blocks : block array;  (** partition of the index square, fixed order *)
-  stats : stats;
-}
-(** Concrete so {!Persist.Entity} can encode cached factors; treat as
-    read-only and use {!validate} after constructing one by hand. *)
+type t
+(** A built H-matrix: cluster permutation, block partition in a fixed
+    order, and the build {!stats}. *)
 
 val build :
   ?params:params ->
@@ -64,8 +48,8 @@ val build :
 (** [build ~entry points] compresses the symmetric operator
     [entry i k] (original, un-permuted indices) using the geometry of
     [points] (one per index). [Error detail] when ACA stalls at
-    [max_rank] on some far block — callers fall back to a flat apply
-    (see {!Operator.galerkin}) and should record [`Degraded_fallback].
+    [max_rank] on some far block; the caller decides what to do without
+    the compressed operator.
     Adds bulk totals to the {!Util.Trace} counters [kernel_evals],
     [nearfield_evals], [aca_rank_sum], [htree_nodes] and
     [hmatrix_near_blocks]/[hmatrix_far_blocks]; all totals and the
@@ -82,8 +66,3 @@ val stats : t -> stats
 val words : t -> int
 (** Stored floats across all blocks — the O(n log n) memory footprint,
     versus [n²] for the dense matrix. *)
-
-val validate : t -> (unit, string) result
-(** Structural integrity: [perm] is a permutation, every block's ranges
-    and factor shapes are consistent, block areas tile the full index
-    square. Used by the persistence codec on decode. *)

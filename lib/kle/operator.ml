@@ -7,8 +7,6 @@ type t = Linalg.Operator.t =
 
 type quadrature = Centroid | Midedge
 
-type mode = Exact | Table | Hierarchical
-
 let dim = Linalg.Operator.dim
 let apply = Linalg.Operator.apply
 
@@ -187,25 +185,20 @@ let midedge_table_pair ~n mesh tbl =
     done;
     !acc /. 9.0
 
-(* flat O(n²)-per-matvec apply: the Table path when a radial table
-   qualifies, exact evaluation otherwise — also the fallback when a
-   hierarchical build fails *)
-let flat_galerkin ~quadrature ~exact ?table_points ?table_tol ?diag ?jobs mesh
-    kernel =
+let centroid_coords mesh =
+  let c = mesh.Mesh.centroids in
+  (Array.map (fun p -> p.Geometry.Point.x) c, Array.map (fun p -> p.Geometry.Point.y) c)
+
+(* flat O(n²)-per-matvec apply: through the radial table when it
+   qualifies, exact evaluation otherwise *)
+let galerkin ?(quadrature = Centroid) ?diag ?jobs mesh kernel =
   let n = Mesh.size mesh in
   let s = Array.map sqrt mesh.Mesh.areas in
-  let table =
-    if exact then None
-    else
-      Kernel.radial_profile ?points:table_points ?tol:table_tol ?diag kernel
-        ~vmax:(domain_diameter mesh)
-  in
+  let table = Kernel.radial_profile ?diag kernel ~vmax:(domain_diameter mesh) in
   let process_row =
     match (quadrature, table) with
     | Centroid, Some tbl ->
-        let centroids = mesh.Mesh.centroids in
-        let cx = Array.map (fun p -> p.Geometry.Point.x) centroids in
-        let cy = Array.map (fun p -> p.Geometry.Point.y) centroids in
+        let cx, cy = centroid_coords mesh in
         table_row ~n ~s ~cx ~cy ~tbl
     | Midedge, Some tbl -> generic_row ~n ~s ~pair:(midedge_table_pair ~n mesh tbl)
     | (Centroid | Midedge), None ->
@@ -220,20 +213,14 @@ let flat_galerkin ~quadrature ~exact ?table_points ?table_tol ?diag ?jobs mesh
   Matrix_free
     { apply = make_apply ~n ?jobs ?diag ~evals_per_apply ~process_row (); dim = n }
 
-let hmatrix_galerkin ?(quadrature = Centroid) ?hier ?table_points ?table_tol
-    ?diag ?jobs mesh kernel =
+let hmatrix_galerkin ?(quadrature = Centroid) ?hier ?diag ?jobs mesh kernel =
   let n = Mesh.size mesh in
   let s = Array.map sqrt mesh.Mesh.areas in
-  let table =
-    Kernel.radial_profile ?points:table_points ?tol:table_tol ?diag kernel
-      ~vmax:(domain_diameter mesh)
-  in
+  let table = Kernel.radial_profile ?diag kernel ~vmax:(domain_diameter mesh) in
   let pair =
     match (quadrature, table) with
     | Centroid, Some tbl ->
-        let centroids = mesh.Mesh.centroids in
-        let cx = Array.map (fun p -> p.Geometry.Point.x) centroids in
-        let cy = Array.map (fun p -> p.Geometry.Point.y) centroids in
+        let cx, cy = centroid_coords mesh in
         fun i k ->
           let dx = Array.unsafe_get cx i -. Array.unsafe_get cx k in
           let dy = Array.unsafe_get cy i -. Array.unsafe_get cy k in
@@ -255,26 +242,3 @@ let of_hmatrix ?diag h =
           y);
       dim = n;
     }
-
-let galerkin ?(quadrature = Centroid) ?(mode = Table) ?hier ?table_points
-    ?table_tol ?diag ?jobs mesh kernel =
-  match mode with
-  | Exact | Table ->
-      flat_galerkin ~quadrature
-        ~exact:(match mode with Exact -> true | _ -> false)
-        ?table_points ?table_tol ?diag ?jobs mesh kernel
-  | Hierarchical -> (
-      match
-        hmatrix_galerkin ~quadrature ?hier ?table_points ?table_tol ?diag ?jobs
-          mesh kernel
-      with
-      | Ok h -> of_hmatrix ?diag h
-      | Error detail ->
-          Util.Diag.record ?sink:diag Warning `Degraded_fallback
-            ~stage:"kle.operator.galerkin"
-            (Printf.sprintf
-               "hierarchical build failed for kernel %s (n = %d): %s — falling \
-                back to the flat apply"
-               (Kernel.name kernel) (Mesh.size mesh) detail);
-          flat_galerkin ~quadrature ~exact:false ?table_points ?table_tol ?diag
-            ?jobs mesh kernel)

@@ -5,26 +5,27 @@
     O(n²) assembly (memory {e and} kernel evaluations) can be skipped
     entirely.
 
-    Three apply strategies ({!mode}):
-    - [Table] (default): each matvec sweeps all n²/2 pairs, but evaluates
-      the isotropic kernel through a precomputed radial profile table
+    Two operators:
+    - {!galerkin}, the flat apply {!Galerkin.solve} runs above 600
+      triangles: each matvec sweeps all n²/2 pairs, evaluating the
+      isotropic kernel through a precomputed radial profile table
       ({!Kernels.Kernel.radial_profile}) — one distance and one linear
       interpolation per unordered pair instead of [exp]/Bessel/[Γ] calls.
-      Falls back to exact evaluation when the kernel is anisotropic,
-      wraps a fault plan, or fails the table's measured-error guard.
-    - [Exact]: the same sweep with exact kernel evaluations.
-    - [Hierarchical]: compress the operator once into an H-matrix
-      ({!Hmatrix}: cluster tree + ACA low-rank far field + dense near
-      field) and apply it in O(n log n) — sub-quadratic matvecs at the
-      price of a controlled relative error [hier.tol].
+      Kernels the table rejects (anisotropic, fault-wrapped, or failing
+      the table's measured-error guard) get exact evaluations instead.
+    - {!hmatrix_galerkin} + {!of_hmatrix}, built explicitly and handed to
+      {!Galerkin.solve_with_operator}: the operator compressed once into
+      an H-matrix ({!Hmatrix}: cluster tree + ACA low-rank far field +
+      dense near field) and applied in O(n log n) — sub-quadratic
+      matvecs at the price of a controlled relative error [hier.tol].
 
-    The flat applies are parallelized over {!Util.Pool} with a
+    The flat apply is parallelized over {!Util.Pool} with a
     pool-size-independent panel decomposition, and the hierarchical build
     writes per-block slots: results are bit-identical for every [jobs],
     matching the repo-wide determinism contract.
 
     All returned closures are safe to call concurrently from several
-    domains: the flat applies check scratch panels out of a pool per
+    domains: the flat apply checks scratch panels out of a pool per
     call, and the hierarchical apply holds no mutable state. *)
 
 type t = Linalg.Operator.t =
@@ -34,13 +35,6 @@ type t = Linalg.Operator.t =
 type quadrature =
   | Centroid  (** paper eq. (21): one-point rule, degree-1 exact *)
   | Midedge  (** three mid-edge points per triangle, degree-2 exact *)
-
-type mode =
-  | Exact  (** full pair sweep, exact kernel evaluations every matvec *)
-  | Table  (** full pair sweep through the radial profile table *)
-  | Hierarchical
-      (** O(n log n) H-matrix apply ({!Hmatrix}); falls back to [Table]
-          with a [`Degraded_fallback] diagnostic when ACA stalls *)
 
 val mean_kernel_value :
   quadrature -> Geometry.Mesh.t -> Kernels.Kernel.t -> int -> int -> float
@@ -53,49 +47,34 @@ val apply : t -> float array -> float array
 
 val galerkin :
   ?quadrature:quadrature ->
-  ?mode:mode ->
-  ?hier:Hmatrix.params ->
-  ?table_points:int ->
-  ?table_tol:float ->
   ?diag:Util.Diag.sink ->
   ?jobs:int ->
   Geometry.Mesh.t ->
   Kernels.Kernel.t ->
   t
-(** [galerkin mesh kernel] is the matrix-free Galerkin operator; [mode]
-    (default [Table]) selects the apply strategy above.
+(** [galerkin mesh kernel] is the flat matrix-free Galerkin operator
+    above. {!Kernels.Kernel.radial_profile} records [`Degraded_fallback] /
+    [`Non_finite] warnings on [diag] when it rejects the table.
 
-    [hier] tunes the [Hierarchical] build ({!Hmatrix.default_params}
-    otherwise); when the build fails (ACA stalls at [hier.max_rank]) a
-    [`Degraded_fallback] warning is recorded on [diag] and the operator
-    degrades to the [Table] configuration. [table_points]/[table_tol] are
-    forwarded to {!Kernels.Kernel.radial_profile}, which records
-    [`Degraded_fallback] / [`Non_finite] warnings on [diag] when the
-    table is rejected; the table also backs the hierarchical build's
-    entry function when it qualifies.
-
-    [jobs] has {!Util.Pool.with_jobs} semantics, resolved per matvec
-    (flat modes) or once at build time ([Hierarchical]). A non-finite
-    entry in an apply result raises [Util.Diag.Failure] with
+    [jobs] has {!Util.Pool.with_jobs} semantics, resolved per matvec. A
+    non-finite entry in an apply result raises [Util.Diag.Failure] with
     [`Non_finite] (recorded on [diag]). *)
 
 val hmatrix_galerkin :
   ?quadrature:quadrature ->
   ?hier:Hmatrix.params ->
-  ?table_points:int ->
-  ?table_tol:float ->
   ?diag:Util.Diag.sink ->
   ?jobs:int ->
   Geometry.Mesh.t ->
   Kernels.Kernel.t ->
   (Hmatrix.t, string) result
-(** The [Hierarchical] build step alone: compress the Galerkin operator's
-    entry function into an {!Hmatrix.t} without wrapping it in an apply.
-    Exposed so callers can persist the factors ({!Persist}-layer entity)
-    and rebuild the operator later with {!of_hmatrix}. [Error detail]
-    when ACA stalls; no diagnostic is recorded here — callers choose the
-    fallback and its reporting. *)
+(** Compress the Galerkin operator's entry function into an
+    {!Hmatrix.t} ([hier] defaults to {!Hmatrix.default_params}); the
+    radial table backs the entry function when it qualifies. [Error
+    detail] when ACA stalls at [hier.max_rank]; nothing is recorded on
+    [diag] for that — the caller decides what to do without the
+    compressed operator. [jobs] is resolved once, at build time. *)
 
 val of_hmatrix : ?diag:Util.Diag.sink -> Hmatrix.t -> t
-(** Wrap prebuilt (or store-loaded) hierarchical factors as an operator;
-    the apply checks outputs for finiteness like every other mode. *)
+(** Wrap built hierarchical factors as an operator; the apply checks
+    outputs for finiteness like the flat one. *)

@@ -93,39 +93,39 @@ let tiny_bench = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nx = NAND(a, b)\ny = NOT(x)\n"
 let chaos_req_id id = "chaos-" ^ string_of_int id
 
 let run_mc_line ~id ~sampler ~n ~seed =
-  Jsonx.to_string
-    (Jsonx.Obj
+  Util.Jsonx.to_string
+    (Util.Jsonx.Obj
        [
-         ("id", Jsonx.Num (float_of_int id));
-         ("req_id", Jsonx.Str (chaos_req_id id));
-         ("method", Jsonx.Str "run_mc");
+         ("id", Util.Jsonx.Num (float_of_int id));
+         ("req_id", Util.Jsonx.Str (chaos_req_id id));
+         ("method", Util.Jsonx.Str "run_mc");
          ( "params",
-           Jsonx.Obj
+           Util.Jsonx.Obj
              [
-               ("circuit", Jsonx.Obj [ ("bench", Jsonx.Str tiny_bench) ]);
-               ("sampler", Jsonx.Str sampler);
-               ("n", Jsonx.Num (float_of_int n));
-               ("seed", Jsonx.Num (float_of_int seed));
+               ("circuit", Util.Jsonx.Obj [ ("bench", Util.Jsonx.Str tiny_bench) ]);
+               ("sampler", Util.Jsonx.Str sampler);
+               ("n", Util.Jsonx.Num (float_of_int n));
+               ("seed", Util.Jsonx.Num (float_of_int seed));
              ] );
        ])
 
 let prepare_line ~id =
-  Jsonx.to_string
-    (Jsonx.Obj
+  Util.Jsonx.to_string
+    (Util.Jsonx.Obj
        [
-         ("id", Jsonx.Num (float_of_int id));
-         ("req_id", Jsonx.Str (chaos_req_id id));
-         ("method", Jsonx.Str "prepare");
-         ("params", Jsonx.Obj [ ("circuit", Jsonx.Obj [ ("bench", Jsonx.Str tiny_bench) ]) ]);
+         ("id", Util.Jsonx.Num (float_of_int id));
+         ("req_id", Util.Jsonx.Str (chaos_req_id id));
+         ("method", Util.Jsonx.Str "prepare");
+         ("params", Util.Jsonx.(Obj [ ("circuit", Obj [ ("bench", Str tiny_bench) ]) ]));
        ])
 
 let health_line ~id =
-  Jsonx.to_string
-    (Jsonx.Obj
+  Util.Jsonx.to_string
+    (Util.Jsonx.Obj
        [
-         ("id", Jsonx.Num (float_of_int id));
-         ("req_id", Jsonx.Str (chaos_req_id id));
-         ("method", Jsonx.Str "health");
+         ("id", Util.Jsonx.Num (float_of_int id));
+         ("req_id", Util.Jsonx.Str (chaos_req_id id));
+         ("method", Util.Jsonx.Str "health");
        ])
 
 (* the request mix: three distinct MC workloads whose results are checked
@@ -144,8 +144,8 @@ let request_kinds cfg =
 
 let mc_bits payload =
   match
-    ( Option.bind (Jsonx.member "worst_mean" payload) Jsonx.as_num,
-      Option.bind (Jsonx.member "worst_sigma" payload) Jsonx.as_num )
+    ( Option.bind (Util.Jsonx.member "worst_mean" payload) Util.Jsonx.as_num,
+      Option.bind (Util.Jsonx.member "worst_sigma" payload) Util.Jsonx.as_num )
   with
   | Some m, Some s -> Some (Int64.bits_of_float m, Int64.bits_of_float s)
   | _ -> None
@@ -166,8 +166,8 @@ let server_config ?(store_dir = None) cfg =
   }
 
 let direct_health_ok payload =
-  let b key = Option.bind (Jsonx.member key payload) Jsonx.as_bool in
-  let n key = Option.bind (Jsonx.member key payload) Jsonx.as_num in
+  let b key = Option.bind (Util.Jsonx.member key payload) Util.Jsonx.as_bool in
+  let n key = Option.bind (Util.Jsonx.member key payload) Util.Jsonx.as_num in
   (* the probe itself occupies one worker while it is being answered *)
   b "healthy" = Some true
   && n "queue_depth" = Some 0.0
@@ -176,9 +176,9 @@ let direct_health_ok payload =
 (* a router health payload aggregates per-shard health under [shard_health];
    recovery means the router is healthy AND every shard individually is *)
 let health_ok payload =
-  match Jsonx.member "shard_health" payload with
-  | Some (Jsonx.List shard_payloads) ->
-      Option.bind (Jsonx.member "healthy" payload) Jsonx.as_bool = Some true
+  match Util.Jsonx.member "shard_health" payload with
+  | Some (Util.Jsonx.List shard_payloads) ->
+      Option.bind (Util.Jsonx.member "healthy" payload) Util.Jsonx.as_bool = Some true
       && List.for_all direct_health_ok shard_payloads
   | Some _ -> false
   | None -> direct_health_ok payload
@@ -302,14 +302,14 @@ let run ?diag ?(log = fun _ -> ()) ~store_dir cfg =
      JSON parser would silently collapse. *)
   let id_violations = Atomic.make 0 in
   let sent_req_id line =
-    match Jsonx.parse line with
-    | Ok json -> Option.bind (Jsonx.member "req_id" json) Jsonx.as_str
+    match Util.Jsonx.parse line with
+    | Ok json -> Option.bind (Util.Jsonx.member "req_id" json) Util.Jsonx.as_str
     | Error _ -> None
   in
   let check_echo ~want reply =
     let echoed =
-      match Jsonx.parse reply with
-      | Ok json -> Option.bind (Jsonx.member "req_id" json) Jsonx.as_str
+      match Util.Jsonx.parse reply with
+      | Ok json -> Option.bind (Util.Jsonx.member "req_id" json) Util.Jsonx.as_str
       | Error _ -> None
     in
     let count = count_occurrences ~needle:"\"req_id\"" reply in

@@ -117,23 +117,23 @@ let retryable = function
 (* classification also surfaces the reply's echoed correlation ID so
    [call] can pin each reply to the attempt that asked for it *)
 let classify_reply line =
-  match Jsonx.parse line with
+  match Util.Jsonx.parse line with
   | Error msg -> (None, Error (Transport_failed ("unparseable reply: " ^ msg)))
   | Ok json -> (
-      let req_id = Option.bind (Jsonx.member "req_id" json) Jsonx.as_str in
+      let req_id = Option.bind (Util.Jsonx.member "req_id" json) Util.Jsonx.as_str in
       ( req_id,
-        match Jsonx.member "ok" json with
+        match Util.Jsonx.member "ok" json with
         | Some payload -> Ok payload
         | None -> (
-          match Jsonx.member "error" json with
+          match Util.Jsonx.member "error" json with
           | Some err ->
               let msg =
-                match Option.bind (Jsonx.member "message" err) Jsonx.as_str with
+                match Option.bind (Util.Jsonx.member "message" err) Util.Jsonx.as_str with
                 | Some m -> m
                 | None -> line
               in
               let code_name =
-                Option.bind (Jsonx.member "code" err) Jsonx.as_str
+                Option.bind (Util.Jsonx.member "code" err) Util.Jsonx.as_str
               in
               let code =
                 match code_name with

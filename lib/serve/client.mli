@@ -77,7 +77,7 @@ val create :
 
 val wire : t -> [ `Json | `Binary ]
 
-val call : ?expect:string -> t -> string -> (Jsonx.t, failure) result
+val call : ?expect:string -> t -> string -> (Util.Jsonx.t, failure) result
 (** Send one pre-encoded request (a JSON line, or a whole binary frame on
     the [`Binary] wire) and block for the final outcome: the [ok] payload,
     or the failure that exhausted the policy. [expect] is the request's
@@ -86,7 +86,7 @@ val call : ?expect:string -> t -> string -> (Jsonx.t, failure) result
     echo — an old server, or an error minted before request decode — is
     accepted). *)
 
-val call_request : t -> Protocol.request -> (Jsonx.t, failure) result
+val call_request : t -> Protocol.request -> (Util.Jsonx.t, failure) result
 (** Build the message for this client's wire ({!Protocol.encode_request} or
     {!Wire.encode_request}) and {!call} it — the wire-agnostic entry point;
     the payload for a given request is bit-identical on both wires. When

@@ -27,7 +27,7 @@ type call =
   | Shutdown
 
 type request = {
-  id : Jsonx.t;
+  id : Util.Jsonx.t;
   req_id : string option;
   deadline_ms : float option;
   call : call;
@@ -59,7 +59,7 @@ let error_code_name = function
 (* decoding *)
 
 type reject = {
-  reject_id : Jsonx.t;
+  reject_id : Util.Jsonx.t;
   reject_req_id : string option;
   code : error_code;
   message : string;
@@ -81,7 +81,7 @@ let params_keys = function
   | _ -> []
 
 let check_keys ~where allowed obj =
-  match Jsonx.as_obj obj with
+  match Util.Jsonx.as_obj obj with
   | None -> ()
   | Some fields ->
       List.iter
@@ -92,61 +92,61 @@ let check_keys ~where allowed obj =
         fields
 
 let params_of json =
-  match Jsonx.member "params" json with
-  | None -> Jsonx.Obj []
-  | Some (Jsonx.Obj _ as p) -> p
+  match Util.Jsonx.member "params" json with
+  | None -> Util.Jsonx.Obj []
+  | Some (Util.Jsonx.Obj _ as p) -> p
   | Some _ -> reject Bad_params "params must be an object"
 
 let circuit_of params =
-  match Jsonx.member "circuit" params with
+  match Util.Jsonx.member "circuit" params with
   | None -> reject Bad_params "missing params.circuit"
   | Some c -> (
       check_keys ~where:"params.circuit" [ "name"; "bench" ] c;
-      match (Jsonx.member "name" c, Jsonx.member "bench" c) with
+      match (Util.Jsonx.member "name" c, Util.Jsonx.member "bench" c) with
       | Some name, None -> (
-          match Jsonx.as_str name with
+          match Util.Jsonx.as_str name with
           | Some s when s <> "" -> Named s
           | _ -> reject Bad_params "circuit.name must be a non-empty string")
       | None, Some bench -> (
-          match Jsonx.as_str bench with
+          match Util.Jsonx.as_str bench with
           | Some s when s <> "" -> Bench_text s
           | _ -> reject Bad_params "circuit.bench must be a non-empty string")
       | _ -> reject Bad_params "circuit must have exactly one of name, bench")
 
 let int_field ?default params key ~min =
-  match Jsonx.member key params with
+  match Util.Jsonx.member key params with
   | None -> (
       match default with
       | Some v -> v
       | None -> reject Bad_params "missing params.%s" key)
   | Some v -> (
-      match Jsonx.as_int v with
+      match Util.Jsonx.as_int v with
       | Some i when i >= min -> i
       | Some i -> reject Bad_params "params.%s = %d out of range (min %d)" key i min
       | None -> reject Bad_params "params.%s must be an integer" key)
 
 let opt_int_field params key ~min =
-  match Jsonx.member key params with
+  match Util.Jsonx.member key params with
   | None -> None
   | Some v -> (
-      match Jsonx.as_int v with
+      match Util.Jsonx.as_int v with
       | Some i when i >= min -> Some i
       | Some i -> reject Bad_params "params.%s = %d out of range (min %d)" key i min
       | None -> reject Bad_params "params.%s must be an integer" key)
 
 let bool_field params key ~default =
-  match Jsonx.member key params with
+  match Util.Jsonx.member key params with
   | None -> default
   | Some v -> (
-      match Jsonx.as_bool v with
+      match Util.Jsonx.as_bool v with
       | Some b -> b
       | None -> reject Bad_params "params.%s must be a boolean" key)
 
 let sampler_of params =
-  match Jsonx.member "sampler" params with
+  match Util.Jsonx.member "sampler" params with
   | None -> Kle
   | Some v -> (
-      match Jsonx.as_str v with
+      match Util.Jsonx.as_str v with
       | Some "cholesky" -> Cholesky
       | Some "kle" -> Kle
       | Some "kle-qmc" -> Kle_qmc
@@ -154,28 +154,28 @@ let sampler_of params =
       | None -> reject Bad_params "params.sampler must be a string")
 
 let edit_of params =
-  match Jsonx.member "edit" params with
+  match Util.Jsonx.member "edit" params with
   | None -> None
   | Some e -> (
-      match Jsonx.as_obj e with
+      match Util.Jsonx.as_obj e with
       | None -> reject ~field:"edit" Bad_params "params.edit must be an object"
       | Some _ ->
           check_keys ~where:"params.edit" [ "gate"; "kind" ] e;
           let gate =
-            match Jsonx.member "gate" e with
+            match Util.Jsonx.member "gate" e with
             | None -> reject ~field:"gate" Bad_params "missing params.edit.gate"
             | Some v -> (
-                match Jsonx.as_int v with
+                match Util.Jsonx.as_int v with
                 | Some i when i >= 0 -> i
                 | _ ->
                     reject ~field:"gate" Bad_params
                       "params.edit.gate must be a non-negative integer")
           in
           let kind =
-            match Jsonx.member "kind" e with
+            match Util.Jsonx.member "kind" e with
             | None -> reject ~field:"kind" Bad_params "missing params.edit.kind"
             | Some v -> (
-                match Jsonx.as_str v with
+                match Util.Jsonx.as_str v with
                 | Some s when s <> "" -> s
                 | _ ->
                     reject ~field:"kind" Bad_params
@@ -228,31 +228,31 @@ let call_of ~method_ params =
   | m -> reject Unknown_method "unknown method %S" m
 
 let decode line =
-  match Jsonx.parse line with
+  match Util.Jsonx.parse line with
   | Error msg ->
       Error
         {
-          reject_id = Jsonx.Null;
+          reject_id = Util.Jsonx.Null;
           reject_req_id = None;
           code = Parse_error;
           message = msg;
           field = None;
         }
   | Ok json -> (
-      let id = Option.value (Jsonx.member "id" json) ~default:Jsonx.Null in
+      let id = Option.value (Util.Jsonx.member "id" json) ~default:Util.Jsonx.Null in
       let fail ~req_id code message field =
         Error { reject_id = id; reject_req_id = req_id; code; message; field }
       in
-      match Jsonx.as_obj json with
+      match Util.Jsonx.as_obj json with
       | None -> fail ~req_id:None Invalid_request "request must be a JSON object" None
       | Some _ -> (
           (* req_id is parsed before anything else can reject, so every
              validation error still echoes the client's correlation ID *)
           match
-            match Jsonx.member "req_id" json with
+            match Util.Jsonx.member "req_id" json with
             | None -> None
             | Some v -> (
-                match Jsonx.as_str v with
+                match Util.Jsonx.as_str v with
                 | Some s when s <> "" -> Some s
                 | Some _ -> reject Bad_params "req_id must be non-empty"
                 | None -> reject Bad_params "req_id must be a string")
@@ -262,18 +262,18 @@ let decode line =
           | req_id -> (
               match
                 let method_ =
-                  match Jsonx.member "method" json with
+                  match Util.Jsonx.member "method" json with
                   | Some m -> (
-                      match Jsonx.as_str m with
+                      match Util.Jsonx.as_str m with
                       | Some s -> s
                       | None -> reject Invalid_request "method must be a string")
                   | None -> reject Invalid_request "missing method"
                 in
                 let deadline_ms =
-                  match Jsonx.member "deadline_ms" json with
+                  match Util.Jsonx.member "deadline_ms" json with
                   | None -> None
                   | Some v -> (
-                      match Jsonx.as_num v with
+                      match Util.Jsonx.as_num v with
                       | Some ms when ms > 0. -> Some ms
                       | Some _ -> reject Bad_params "deadline_ms must be positive"
                       | None -> reject Bad_params "deadline_ms must be a number")
@@ -292,10 +292,10 @@ let sampler_name = function
   | Kle_qmc -> "kle-qmc"
 
 let circuit_json = function
-  | Named name -> Jsonx.Obj [ ("name", Jsonx.Str name) ]
-  | Bench_text text -> Jsonx.Obj [ ("bench", Jsonx.Str text) ]
+  | Named name -> Util.Jsonx.Obj [ ("name", Util.Jsonx.Str name) ]
+  | Bench_text text -> Util.Jsonx.Obj [ ("bench", Util.Jsonx.Str text) ]
 
-let num_i v = Jsonx.Num (float_of_int v)
+let num_i v = Util.Jsonx.Num (float_of_int v)
 
 let opt_num_i key = function None -> [] | Some v -> [ (key, num_i v) ]
 
@@ -306,11 +306,11 @@ let encode_request { id; req_id; deadline_ms; call } =
         ("prepare", [ ("circuit", circuit_json circuit) ] @ opt_num_i "r" r)
     | Run_mc { circuit; sampler; r; seed; n; batch; full } ->
         ( "run_mc",
-          [ ("circuit", circuit_json circuit); ("sampler", Jsonx.Str (sampler_name sampler)) ]
+          [ ("circuit", circuit_json circuit); ("sampler", Util.Jsonx.Str (sampler_name sampler)) ]
           @ opt_num_i "r" r
           @ [ ("seed", num_i seed); ("n", num_i n) ]
           @ opt_num_i "batch" batch
-          @ if full then [ ("full", Jsonx.Bool true) ] else [] )
+          @ if full then [ ("full", Util.Jsonx.Bool true) ] else [] )
     | Compare { circuit; r; seed; n } ->
         ( "compare",
           [ ("circuit", circuit_json circuit) ]
@@ -325,53 +325,54 @@ let encode_request { id; req_id; deadline_ms; call } =
           match edit with
           | None -> []
           | Some e ->
-              [ ("edit", Jsonx.Obj [ ("gate", num_i e.gate); ("kind", Jsonx.Str e.kind) ]) ] )
+              [ ("edit", Util.Jsonx.(Obj [ ("gate", num_i e.gate); ("kind", Str e.kind) ])) ] )
     | Stats -> ("stats", [])
     | Metrics -> ("metrics", [])
     | Debug -> ("debug", [])
     | Health -> ("health", [])
     | Shutdown -> ("shutdown", [])
   in
-  Jsonx.to_string
-    (Jsonx.Obj
+  Util.Jsonx.to_string
+    (Util.Jsonx.Obj
        ([ ("id", id) ]
        @ (match req_id with
-         | Some r -> [ ("req_id", Jsonx.Str r) ]
+         | Some r -> [ ("req_id", Util.Jsonx.Str r) ]
          | None -> [])
        @ (match deadline_ms with
-         | Some ms -> [ ("deadline_ms", Jsonx.Num ms) ]
+         | Some ms -> [ ("deadline_ms", Util.Jsonx.Num ms) ]
          | None -> [])
-       @ [ ("method", Jsonx.Str method_) ]
-       @ match params with [] -> [] | ps -> [ ("params", Jsonx.Obj ps) ]))
+       @ [ ("method", Util.Jsonx.Str method_) ]
+       @ match params with [] -> [] | ps -> [ ("params", Util.Jsonx.Obj ps) ]))
 
 (* [req_id] is echoed only when the request carried one, so replies to
    clients predating the field are byte-identical to before *)
 let req_id_fields = function
   | None -> []
-  | Some r -> [ ("req_id", Jsonx.Str r) ]
+  | Some r -> [ ("req_id", Util.Jsonx.Str r) ]
 
 let ok_response ~id ?req_id payload =
-  Jsonx.to_string (Jsonx.Obj ([ ("id", id) ] @ req_id_fields req_id @ [ ("ok", payload) ]))
+  Util.Jsonx.(to_string (Obj ([ ("id", id) ] @ req_id_fields req_id @ [ ("ok", payload) ])))
 
 let error_response ~id ?req_id ?field code message =
-  Jsonx.to_string
-    (Jsonx.Obj
+  Util.Jsonx.to_string
+    (Util.Jsonx.Obj
        ([ ("id", id) ]
        @ req_id_fields req_id
        @ [
            ( "error",
-             Jsonx.Obj
-               ([ ("code", Jsonx.Str (error_code_name code)); ("message", Jsonx.Str message) ]
+             Util.Jsonx.Obj
+               ([ ("code", Util.Jsonx.Str (error_code_name code));
+                  ("message", Util.Jsonx.Str message) ]
                @
                match field with
                | None -> []
-               | Some f -> [ ("field", Jsonx.Str f) ]) );
+               | Some f -> [ ("field", Util.Jsonx.Str f) ]) );
          ]))
 
 let response_id line =
-  match Jsonx.parse line with Error _ -> None | Ok json -> Jsonx.member "id" json
+  match Util.Jsonx.parse line with Error _ -> None | Ok json -> Util.Jsonx.member "id" json
 
 let response_req_id line =
-  match Jsonx.parse line with
+  match Util.Jsonx.parse line with
   | Error _ -> None
-  | Ok json -> Option.bind (Jsonx.member "req_id" json) Jsonx.as_str
+  | Ok json -> Option.bind (Util.Jsonx.member "req_id" json) Util.Jsonx.as_str

@@ -65,7 +65,7 @@ type call =
   | Shutdown  (** reply, then drain the server *)
 
 type request = {
-  id : Jsonx.t;
+  id : Util.Jsonx.t;
   req_id : string option;
       (** end-to-end request correlation ID (["req_id"] on the wire).
           Optional for compatibility: when absent the server generates one
@@ -92,7 +92,7 @@ val error_code_name : error_code -> string
 (** Stable wire name, e.g. ["overloaded"]. *)
 
 type reject = {
-  reject_id : Jsonx.t;
+  reject_id : Util.Jsonx.t;
       (** best-effort request [id] ([Null] when the line was not parseable
           JSON) so the error response can still be correlated *)
   reject_req_id : string option;
@@ -116,15 +116,16 @@ val encode_request : request -> string
     returns [Ok r]. Lets clients build requests once and pick the wire
     ({!Wire} reuses the same [request] type for binary framing). *)
 
-val ok_response : id:Jsonx.t -> ?req_id:string -> Jsonx.t -> string
+val ok_response : id:Util.Jsonx.t -> ?req_id:string -> Util.Jsonx.t -> string
 (** [?req_id] echoes the request's correlation ID top-level; omitted for
     requests that did not carry one (wire compatibility). *)
 
-val error_response : id:Jsonx.t -> ?req_id:string -> ?field:string -> error_code -> string -> string
+val error_response :
+  id:Util.Jsonx.t -> ?req_id:string -> ?field:string -> error_code -> string -> string
 (** [?field] names the offending params key inside the error object (set
     from {!reject.field} for decode rejects). *)
 
-val response_id : string -> Jsonx.t option
+val response_id : string -> Util.Jsonx.t option
 (** Parse a response line's [id] (client-side correlation helper). *)
 
 val response_req_id : string -> string option

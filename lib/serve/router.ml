@@ -1,7 +1,7 @@
 type backend = {
   send :
     Protocol.request ->
-    reply:((Jsonx.t, Protocol.error_code * string) result -> unit) ->
+    reply:((Util.Jsonx.t, Protocol.error_code * string) result -> unit) ->
     unit;
   healthy : unit -> bool;
   describe : string;
@@ -148,7 +148,7 @@ let fanout t call =
                 Condition.signal done_)
       in
       let request =
-        { Protocol.id = Jsonx.Num (float_of_int i); req_id = None; deadline_ms = None; call }
+        { Protocol.id = Util.Jsonx.Num (float_of_int i); req_id = None; deadline_ms = None; call }
       in
       match shard.backend.send request ~reply:deliver with
       | () -> ()
@@ -161,41 +161,42 @@ let fanout t call =
   Array.map (function Some r -> r | None -> Error (Protocol.Internal_error, "no reply")) results
 
 let router_stats_payload t =
-  Jsonx.Obj
+  Util.Jsonx.Obj
     [
-      ("forwarded", Jsonx.Num (float_of_int (Atomic.get t.n_forwarded)));
-      ("shed", Jsonx.Num (float_of_int (Atomic.get t.n_shed)));
-      ("retried", Jsonx.Num (float_of_int (Atomic.get t.n_retried)));
-      ("shard_errors", Jsonx.Num (float_of_int (Atomic.get t.n_shard_errors)));
+      ("forwarded", Util.Jsonx.Num (float_of_int (Atomic.get t.n_forwarded)));
+      ("shed", Util.Jsonx.Num (float_of_int (Atomic.get t.n_shed)));
+      ("retried", Util.Jsonx.Num (float_of_int (Atomic.get t.n_retried)));
+      ("shard_errors", Util.Jsonx.Num (float_of_int (Atomic.get t.n_shard_errors)));
     ]
 
 let shard_result_payload = function
   | Ok payload -> payload
   | Error (code, msg) ->
-      Jsonx.Obj
+      Util.Jsonx.Obj
         [
-          ("error", Jsonx.Str (Protocol.error_code_name code)); ("message", Jsonx.Str msg);
+          ("error", Util.Jsonx.Str (Protocol.error_code_name code));
+          ("message", Util.Jsonx.Str msg);
         ]
 
 let aggregate t call =
   let results = fanout t call in
   let shard_list =
-    Jsonx.List (Array.to_list (Array.map shard_result_payload results))
+    Util.Jsonx.List (Array.to_list (Array.map shard_result_payload results))
   in
   match call with
   | Protocol.Health ->
       let shard_healthy = function
         | Ok payload -> (
-            match Option.bind (Jsonx.member "healthy" payload) Jsonx.as_bool with
+            match Option.bind (Util.Jsonx.member "healthy" payload) Util.Jsonx.as_bool with
             | Some b -> b
             | None -> false)
         | Error _ -> false
       in
       let all_healthy = Array.for_all shard_healthy results in
-      Jsonx.Obj
+      Util.Jsonx.Obj
         [
-          ("healthy", Jsonx.Bool (all_healthy && not (Atomic.get t.shutdown_flag)));
-          ("shards", Jsonx.Num (float_of_int (Array.length t.shards)));
+          ("healthy", Util.Jsonx.Bool (all_healthy && not (Atomic.get t.shutdown_flag)));
+          ("shards", Util.Jsonx.Num (float_of_int (Array.length t.shards)));
           ("router", router_stats_payload t);
           ("shard_health", shard_list);
         ]
@@ -203,9 +204,9 @@ let aggregate t call =
       let list_name =
         match call with Protocol.Debug -> "shard_debug" | _ -> "shard_stats"
       in
-      Jsonx.Obj
+      Util.Jsonx.Obj
         [
-          ("shards", Jsonx.Num (float_of_int (Array.length t.shards)));
+          ("shards", Util.Jsonx.Num (float_of_int (Array.length t.shards)));
           ("router", router_stats_payload t);
           (list_name, shard_list);
         ]
@@ -254,7 +255,7 @@ let submit t ~wire payload ~reply =
           | Protocol.Shutdown ->
               Atomic.set t.shutdown_flag true;
               let _ = fanout t Protocol.Shutdown in
-              respond (Ok (Jsonx.Obj [ ("shutting_down", Jsonx.Bool true) ]))
+              respond (Ok (Util.Jsonx.Obj [ ("shutting_down", Util.Jsonx.Bool true) ]))
           | Protocol.Metrics ->
               (* the cluster view: every shard's registry merged into one —
                  counters summed, histograms merged bucket-by-bucket under
@@ -266,15 +267,15 @@ let submit t ~wire payload ~reply =
                 |> List.filter_map (function Ok p -> Some p | Error _ -> None)
               in
               let merged_fields =
-                match Telemetry.merge_metrics payloads with Jsonx.Obj f -> f | _ -> []
+                match Telemetry.merge_metrics payloads with Util.Jsonx.Obj f -> f | _ -> []
               in
               respond
                 (Ok
-                   (Jsonx.Obj
+                   (Util.Jsonx.Obj
                       ([
-                         ("shards", Jsonx.Num (float_of_int (Array.length t.shards)));
+                         ("shards", Util.Jsonx.Num (float_of_int (Array.length t.shards)));
                          ( "shards_reporting",
-                           Jsonx.Num (float_of_int (List.length payloads)) );
+                           Util.Jsonx.Num (float_of_int (List.length payloads)) );
                          ("router", router_stats_payload t);
                        ]
                       @ merged_fields)))

@@ -33,7 +33,7 @@
 type backend = {
   send :
     Protocol.request ->
-    reply:((Jsonx.t, Protocol.error_code * string) result -> unit) ->
+    reply:((Util.Jsonx.t, Protocol.error_code * string) result -> unit) ->
     unit;
       (** Forward one structured request. [reply] must be called exactly
           once (possibly from another thread); raising from [send] counts

@@ -12,7 +12,7 @@ type config = {
   chaos_crash_after : Util.Fault.io_plan option;
   slow_ms : float;
   slow_ring : int;
-  request_log : (Jsonx.t -> unit) option;
+  request_log : (Util.Jsonx.t -> unit) option;
 }
 
 let default_config =
@@ -47,14 +47,13 @@ let c_worker_restarts = Util.Trace.counter "serve_worker_restarts"
 type artifact =
   | A_setup of Ssta.Experiment.circuit_setup
   | A_model of Kle.Model.t
-  | A_hmatrix of Kle.Hmatrix.t
 
 (* per-connection response codec: a job answers on the wire it arrived on.
    [req_id] is the echoed correlation ID — [None] when the request carried
    none, keeping replies to old clients byte-identical *)
 type rcodec = {
-  rc_ok : id:Jsonx.t -> req_id:string option -> Jsonx.t -> string;
-  rc_error : id:Jsonx.t -> req_id:string option -> Protocol.error_code -> string -> string;
+  rc_ok : id:Util.Jsonx.t -> req_id:string option -> Util.Jsonx.t -> string;
+  rc_error : id:Util.Jsonx.t -> req_id:string option -> Protocol.error_code -> string -> string;
   rc_reject : Protocol.reject -> string;
       (* decode rejects carry their own correlation and field attribution *)
 }
@@ -174,14 +173,13 @@ let count_tier t tier =
 
 (* Per-domain cache-stage clock: [cached] accumulates its wall time here so
    the worker can split a request's execution into cache_lookup vs compute.
-   Only the outermost [cached] frame adds to [frame_ns] (a model compute
-   that resolves a nested hmatrix artifact is not double-counted), and
-   every leader's [compute] body adds to [exclude_ns]; the worker reads
-   cache_lookup = frame_ns - exclude_ns, so an eigensolve behind a cache
-   miss counts as compute, not as cache time. *)
-type cache_clock = { mutable depth : int; mutable frame_ns : int; mutable exclude_ns : int }
+   Every [cached] frame adds to [frame_ns] and every leader's [compute]
+   body adds to [exclude_ns]; the worker reads cache_lookup = frame_ns -
+   exclude_ns, so an eigensolve behind a cache miss counts as compute, not
+   as cache time. No compute body calls [cached], so frames never nest. *)
+type cache_clock = { mutable frame_ns : int; mutable exclude_ns : int }
 
-let cache_clock_key = Domain.DLS.new_key (fun () -> { depth = 0; frame_ns = 0; exclude_ns = 0 })
+let cache_clock_key = Domain.DLS.new_key (fun () -> { frame_ns = 0; exclude_ns = 0 })
 
 let cache_clock_reset clk =
   clk.frame_ns <- 0;
@@ -203,11 +201,7 @@ let cached t (entity : 'a Persist.Entity.t) ~spec ~(inject : 'a -> artifact)
       compute
   in
   let t0 = Util.Trace.now_ns () in
-  clk.depth <- clk.depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      clk.depth <- clk.depth - 1;
-      if clk.depth = 0 then clk.frame_ns <- clk.frame_ns + (Util.Trace.now_ns () - t0))
+  Fun.protect ~finally:(fun () -> clk.frame_ns <- clk.frame_ns + (Util.Trace.now_ns () - t0))
   @@ fun () ->
   let key = entity.Persist.Entity.kind ^ ":" ^ spec in
   let from_mem () = Option.bind (Lru.find t.cache key) project in
@@ -307,11 +301,7 @@ let get_setup_edited t circuit edit =
 
 let get_setup t circuit = get_setup_edited t circuit None
 
-let mode_name = function
-  | Kle.Galerkin.Auto -> "auto"
-  | Kle.Galerkin.Assembled -> "assembled"
-  | Kle.Galerkin.Matrix_free -> "matrix-free"
-  | Kle.Galerkin.Hierarchical -> "hierarchical"
+let mode_name = function Kle.Galerkin.Auto -> "auto" | Kle.Galerkin.Assembled -> "assembled"
 
 let model_spec t kernel ~r =
   let cfg = t.config.kle in
@@ -321,72 +311,12 @@ let model_spec t kernel ~r =
     cfg.Ssta.Algorithm2.computed_pairs (mode_name cfg.Ssta.Algorithm2.mode)
     (match r with None -> "auto" | Some r -> string_of_int r)
 
-let hmatrix_spec t kernel =
-  let cfg = t.config.kle in
-  let p = Kle.Hmatrix.default_params in
-  Printf.sprintf
-    "kle-hmatrix(kernel=%s;die=unit;maf=%.17g;angle=%.17g;tol=%.17g;eta=%.17g;leaf=%d;max_rank=%d)"
-    (Persist.Entity.kernel_spec kernel)
-    cfg.Ssta.Algorithm2.max_area_fraction cfg.Ssta.Algorithm2.min_angle_deg
-    p.Kle.Hmatrix.tol p.Kle.Hmatrix.eta p.Kle.Hmatrix.leaf_size
-    p.Kle.Hmatrix.max_rank
-
-exception Hmatrix_failed of string
-
-(* hierarchical-mode eigensolves reuse the cluster tree + ACA factors
-   through the same cache tiers as every other artifact: a warm store (or
-   memory hit) skips the O(n log n) entry evaluations of the build and goes
-   straight to the Lanczos sweep. An ACA stall escapes as [Hmatrix_failed]
-   and degrades to the flat matrix-free apply with a diagnostic, mirroring
-   [Kle.Operator.galerkin]'s own fallback. *)
-let hierarchical_solution t kernel mesh solver =
-  match
-    cached t Persist.Entity.hmatrix ~spec:(hmatrix_spec t kernel)
-      ~inject:(fun h -> A_hmatrix h)
-      ~project:(function A_hmatrix h -> Some h | _ -> None)
-      (fun () ->
-        match
-          Kle.Operator.hmatrix_galerkin ~diag:t.diag ?jobs:t.config.jobs mesh
-            kernel
-        with
-        | Ok h -> h
-        | Error detail -> raise (Hmatrix_failed detail))
-  with
-  | h, _tier ->
-      Kle.Galerkin.solve_with_operator ~solver ~diag:t.diag ?jobs:t.config.jobs
-        ~op:(Kle.Operator.of_hmatrix ~diag:t.diag h) mesh kernel
-  | exception Hmatrix_failed detail ->
-      Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
-        ~stage:"serve.model"
-        (Printf.sprintf
-           "hierarchical build failed: %s — solving with the flat apply" detail);
-      Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free ~solver ~diag:t.diag
-        ?jobs:t.config.jobs mesh kernel
-
-(* mirrors Algorithm2.prepare: unit-die mesh, Lanczos unless the mesh is
-   small, Model.create truncation — so a cached model is bit-identical to
-   the uncached pipeline's *)
+(* Algorithm2's own per-kernel solve, so a cached model is bit-identical
+   to the uncached pipeline's *)
 let compute_model t kernel ~r () =
-  let cfg = t.config.kle in
-  let mesh =
-    (Geometry.Refine.mesh Geometry.Rect.unit_die
-       ~max_area_fraction:cfg.Ssta.Algorithm2.max_area_fraction
-       ~min_angle_deg:cfg.Ssta.Algorithm2.min_angle_deg)
-      .Geometry.Geometry_intf.mesh
-  in
-  let solver =
-    if cfg.Ssta.Algorithm2.computed_pairs >= Geometry.Mesh.size mesh then Kle.Galerkin.Dense
-    else Kle.Galerkin.Lanczos { count = cfg.Ssta.Algorithm2.computed_pairs }
-  in
-  let solution =
-    match (cfg.Ssta.Algorithm2.mode, solver) with
-    | Kle.Galerkin.Hierarchical, Kle.Galerkin.Lanczos _ ->
-        hierarchical_solution t kernel mesh solver
-    | _ ->
-        Kle.Galerkin.solve ~mode:cfg.Ssta.Algorithm2.mode ~solver ~diag:t.diag
-          ?jobs:t.config.jobs mesh kernel
-  in
-  Kle.Model.create ?r solution
+  let config = { t.config.kle with Ssta.Algorithm2.r } in
+  Ssta.Algorithm2.solve_model ~config ~diag:t.diag ?jobs:t.config.jobs
+    (Ssta.Algorithm2.die_mesh config) kernel
 
 let get_model t kernel ~r =
   let spec = model_spec t kernel ~r in
@@ -468,18 +398,18 @@ let mc_sampler_of t (setup : Ssta.Experiment.circuit_setup) kind ~r ~seed :
         Util.Timer.elapsed_s timer,
         tier )
 
-let float_list a = Jsonx.List (Array.to_list (Array.map (fun v -> Jsonx.Num v) a))
+let float_list a = Util.Jsonx.List (Array.to_list (Array.map (fun v -> Util.Jsonx.Num v) a))
 
 let mc_payload ?(full = false) (mc : Ssta.Experiment.mc_result) =
-  Jsonx.Obj
+  Util.Jsonx.Obj
     ([
-       ("n_samples", Jsonx.Num (float_of_int mc.Ssta.Experiment.n_samples));
-       ("n_skipped", Jsonx.Num (float_of_int mc.Ssta.Experiment.n_skipped));
-       ("worst_mean", Jsonx.Num mc.Ssta.Experiment.worst_mean);
-       ("worst_sigma", Jsonx.Num mc.Ssta.Experiment.worst_sigma);
-       ("endpoints", Jsonx.Num (float_of_int (Array.length mc.Ssta.Experiment.endpoint_mean)));
-       ("sample_seconds", Jsonx.Num mc.Ssta.Experiment.sample_seconds);
-       ("sta_seconds", Jsonx.Num mc.Ssta.Experiment.sta_seconds);
+       ("n_samples", Util.Jsonx.Num (float_of_int mc.Ssta.Experiment.n_samples));
+       ("n_skipped", Util.Jsonx.Num (float_of_int mc.Ssta.Experiment.n_skipped));
+       ("worst_mean", Util.Jsonx.Num mc.Ssta.Experiment.worst_mean);
+       ("worst_sigma", Util.Jsonx.Num mc.Ssta.Experiment.worst_sigma);
+       ("endpoints", Util.Jsonx.Num (float_of_int (Array.length mc.Ssta.Experiment.endpoint_mean)));
+       ("sample_seconds", Util.Jsonx.Num mc.Ssta.Experiment.sample_seconds);
+       ("sta_seconds", Util.Jsonx.Num mc.Ssta.Experiment.sta_seconds);
      ]
     @
     if full then
@@ -490,52 +420,52 @@ let mc_payload ?(full = false) (mc : Ssta.Experiment.mc_result) =
     else [])
 
 let lru_stats_payload (s : Lru.stats) =
-  Jsonx.Obj
+  Util.Jsonx.Obj
     [
-      ("hits", Jsonx.Num (float_of_int s.Lru.hits));
-      ("misses", Jsonx.Num (float_of_int s.Lru.misses));
-      ("evictions", Jsonx.Num (float_of_int s.Lru.evictions));
-      ("entries", Jsonx.Num (float_of_int s.Lru.entries));
+      ("hits", Util.Jsonx.Num (float_of_int s.Lru.hits));
+      ("misses", Util.Jsonx.Num (float_of_int s.Lru.misses));
+      ("evictions", Util.Jsonx.Num (float_of_int s.Lru.evictions));
+      ("entries", Util.Jsonx.Num (float_of_int s.Lru.entries));
     ]
 
 let store_stats_payload store =
   let s = Persist.Store.stats store in
-  Jsonx.Obj
+  Util.Jsonx.Obj
     [
-      ("dir", Jsonx.Str (Persist.Store.dir store));
-      ("hits", Jsonx.Num (float_of_int s.Persist.Store.hits));
-      ("misses", Jsonx.Num (float_of_int s.Persist.Store.misses));
-      ("recovered", Jsonx.Num (float_of_int s.Persist.Store.recovered));
-      ("writes", Jsonx.Num (float_of_int s.Persist.Store.writes));
-      ("read_failures", Jsonx.Num (float_of_int s.Persist.Store.read_failures));
-      ("entries", Jsonx.Num (float_of_int s.Persist.Store.entries));
-      ("bytes", Jsonx.Num (float_of_int s.Persist.Store.bytes));
+      ("dir", Util.Jsonx.Str (Persist.Store.dir store));
+      ("hits", Util.Jsonx.Num (float_of_int s.Persist.Store.hits));
+      ("misses", Util.Jsonx.Num (float_of_int s.Persist.Store.misses));
+      ("recovered", Util.Jsonx.Num (float_of_int s.Persist.Store.recovered));
+      ("writes", Util.Jsonx.Num (float_of_int s.Persist.Store.writes));
+      ("read_failures", Util.Jsonx.Num (float_of_int s.Persist.Store.read_failures));
+      ("entries", Util.Jsonx.Num (float_of_int s.Persist.Store.entries));
+      ("bytes", Util.Jsonx.Num (float_of_int s.Persist.Store.bytes));
     ]
 
 let stats_payload t =
   let queue_len = Mutex.protect t.lock (fun () -> Queue.length t.queue) in
-  Jsonx.Obj
+  Util.Jsonx.Obj
     ([
-       ("requests", Jsonx.Num (float_of_int (Atomic.get t.n_requests)));
-       ("errors", Jsonx.Num (float_of_int (Atomic.get t.n_errors)));
-       ("rejected", Jsonx.Num (float_of_int (Atomic.get t.n_rejected)));
-       ("deadline_missed", Jsonx.Num (float_of_int (Atomic.get t.n_deadline)));
-       ("replies_dropped", Jsonx.Num (float_of_int (Atomic.get t.n_replies_dropped)));
-       ("requeued", Jsonx.Num (float_of_int (Atomic.get t.n_requeued)));
-       ("cache_hits_mem", Jsonx.Num (float_of_int (Atomic.get t.n_hits_mem)));
-       ("cache_hits_disk", Jsonx.Num (float_of_int (Atomic.get t.n_hits_disk)));
-       ("cache_misses", Jsonx.Num (float_of_int (Atomic.get t.n_misses)));
-       ("cache_recovered", Jsonx.Num (float_of_int (Atomic.get t.n_recovered)));
-       ("singleflight_dedup", Jsonx.Num (float_of_int (Atomic.get t.n_singleflight)));
-       ("retime_blocks_reused", Jsonx.Num (float_of_int (Atomic.get t.n_blocks_reused)));
+       ("requests", Util.Jsonx.Num (float_of_int (Atomic.get t.n_requests)));
+       ("errors", Util.Jsonx.Num (float_of_int (Atomic.get t.n_errors)));
+       ("rejected", Util.Jsonx.Num (float_of_int (Atomic.get t.n_rejected)));
+       ("deadline_missed", Util.Jsonx.Num (float_of_int (Atomic.get t.n_deadline)));
+       ("replies_dropped", Util.Jsonx.Num (float_of_int (Atomic.get t.n_replies_dropped)));
+       ("requeued", Util.Jsonx.Num (float_of_int (Atomic.get t.n_requeued)));
+       ("cache_hits_mem", Util.Jsonx.Num (float_of_int (Atomic.get t.n_hits_mem)));
+       ("cache_hits_disk", Util.Jsonx.Num (float_of_int (Atomic.get t.n_hits_disk)));
+       ("cache_misses", Util.Jsonx.Num (float_of_int (Atomic.get t.n_misses)));
+       ("cache_recovered", Util.Jsonx.Num (float_of_int (Atomic.get t.n_recovered)));
+       ("singleflight_dedup", Util.Jsonx.Num (float_of_int (Atomic.get t.n_singleflight)));
+       ("retime_blocks_reused", Util.Jsonx.Num (float_of_int (Atomic.get t.n_blocks_reused)));
        ( "retime_blocks_recomputed",
-         Jsonx.Num (float_of_int (Atomic.get t.n_blocks_recomputed)) );
-       ("queue_length", Jsonx.Num (float_of_int queue_len));
-       ("queue_capacity", Jsonx.Num (float_of_int t.config.queue_capacity));
-       ("workers", Jsonx.Num (float_of_int t.config.workers));
-       ("worker_restarts", Jsonx.Num (float_of_int (Atomic.get t.n_worker_restarts)));
-       ("quarantined", Jsonx.Num (float_of_int (Atomic.get t.n_quarantined)));
-       ("draining", Jsonx.Bool (Atomic.get t.draining));
+         Util.Jsonx.Num (float_of_int (Atomic.get t.n_blocks_recomputed)) );
+       ("queue_length", Util.Jsonx.Num (float_of_int queue_len));
+       ("queue_capacity", Util.Jsonx.Num (float_of_int t.config.queue_capacity));
+       ("workers", Util.Jsonx.Num (float_of_int t.config.workers));
+       ("worker_restarts", Util.Jsonx.Num (float_of_int (Atomic.get t.n_worker_restarts)));
+       ("quarantined", Util.Jsonx.Num (float_of_int (Atomic.get t.n_quarantined)));
+       ("draining", Util.Jsonx.Bool (Atomic.get t.draining));
        ("lru", lru_stats_payload (Lru.stats t.cache));
      ]
     @ match t.store with None -> [] | Some store -> [ ("store", store_stats_payload store) ])
@@ -546,28 +476,28 @@ let stats_payload t =
 let health_payload t =
   let queue_depth = Mutex.protect t.lock (fun () -> Queue.length t.queue) in
   let draining = Atomic.get t.draining in
-  Jsonx.Obj
+  Util.Jsonx.Obj
     ([
-       ("healthy", Jsonx.Bool (not draining));
-       ("draining", Jsonx.Bool draining);
-       ("workers", Jsonx.Num (float_of_int t.config.workers));
-       ("workers_busy", Jsonx.Num (float_of_int (Atomic.get t.busy)));
-       ("worker_restarts", Jsonx.Num (float_of_int (Atomic.get t.n_worker_restarts)));
-       ("quarantined", Jsonx.Num (float_of_int (Atomic.get t.n_quarantined)));
-       ("queue_depth", Jsonx.Num (float_of_int queue_depth));
-       ("queue_capacity", Jsonx.Num (float_of_int t.config.queue_capacity));
-       ("cache_entries", Jsonx.Num (float_of_int (Lru.stats t.cache).Lru.entries));
+       ("healthy", Util.Jsonx.Bool (not draining));
+       ("draining", Util.Jsonx.Bool draining);
+       ("workers", Util.Jsonx.Num (float_of_int t.config.workers));
+       ("workers_busy", Util.Jsonx.Num (float_of_int (Atomic.get t.busy)));
+       ("worker_restarts", Util.Jsonx.Num (float_of_int (Atomic.get t.n_worker_restarts)));
+       ("quarantined", Util.Jsonx.Num (float_of_int (Atomic.get t.n_quarantined)));
+       ("queue_depth", Util.Jsonx.Num (float_of_int queue_depth));
+       ("queue_capacity", Util.Jsonx.Num (float_of_int t.config.queue_capacity));
+       ("cache_entries", Util.Jsonx.Num (float_of_int (Lru.stats t.cache).Lru.entries));
      ]
     @
     match t.store with
-    | None -> [ ("store", Jsonx.Str "none") ]
+    | None -> [ ("store", Util.Jsonx.Str "none") ]
     | Some store ->
         let s = Persist.Store.stats store in
         [
-          ("store", Jsonx.Str "open");
-          ("store_entries", Jsonx.Num (float_of_int s.Persist.Store.entries));
+          ("store", Util.Jsonx.Str "open");
+          ("store_entries", Util.Jsonx.Num (float_of_int s.Persist.Store.entries));
           ( "store_read_failures",
-            Jsonx.Num (float_of_int s.Persist.Store.read_failures) );
+            Util.Jsonx.Num (float_of_int s.Persist.Store.read_failures) );
         ])
 
 (* The unified counter list for the metrics surface: the server's own
@@ -599,7 +529,7 @@ let unified_counters t =
   ]
   @ List.map (fun (name, v) -> ("trace_" ^ name, v)) (Util.Trace.counters ())
 
-let execute t (request : Protocol.request) : Jsonx.t =
+let execute t (request : Protocol.request) : Util.Jsonx.t =
   match request.Protocol.call with
   | Protocol.Prepare { circuit; r } -> (
       match get_setup t circuit with
@@ -608,23 +538,23 @@ let execute t (request : Protocol.request) : Jsonx.t =
           let timer = Util.Timer.start () in
           let models, model_tier = get_models t (process ()) ~r in
           let setup_seconds = Util.Timer.elapsed_s timer in
-          Jsonx.Obj
+          Util.Jsonx.Obj
             [
-              ("circuit", Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
+              ("circuit", Util.Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
               ( "gates",
-                Jsonx.Num
+                Util.Jsonx.Num
                   (float_of_int (Array.length setup.Ssta.Experiment.netlist.Circuit.Netlist.gates)) );
               ( "logic_gates",
-                Jsonx.Num (float_of_int (Array.length setup.Ssta.Experiment.logic_ids)) );
-              ("r", Jsonx.Num (float_of_int models.(0).Kle.Model.r));
+                Util.Jsonx.Num (float_of_int (Array.length setup.Ssta.Experiment.logic_ids)) );
+              ("r", Util.Jsonx.Num (float_of_int models.(0).Kle.Model.r));
               ( "mesh_size",
-                Jsonx.Num
+                Util.Jsonx.Num
                   (float_of_int
                      (Geometry.Mesh.size
                         models.(0).Kle.Model.solution.Kle.Galerkin.mesh)) );
-              ("cache_setup", Jsonx.Str (tier_name setup_tier));
-              ("cache_models", Jsonx.Str (tier_name model_tier));
-              ("setup_seconds", Jsonx.Num setup_seconds);
+              ("cache_setup", Util.Jsonx.Str (tier_name setup_tier));
+              ("cache_models", Util.Jsonx.Str (tier_name model_tier));
+              ("setup_seconds", Util.Jsonx.Num setup_seconds);
             ])
   | Protocol.Run_mc { circuit; sampler; r; seed; n; batch; full } -> (
       match get_setup t circuit with
@@ -635,13 +565,13 @@ let execute t (request : Protocol.request) : Jsonx.t =
             Ssta.Experiment.run_mc ?batch ?jobs:t.config.jobs ~diag:t.diag setup
               ~sampler:sampler_fn ~seed ~n
           in
-          let fields = match mc_payload ~full mc with Jsonx.Obj f -> f | _ -> [] in
-          Jsonx.Obj
+          let fields = match mc_payload ~full mc with Util.Jsonx.Obj f -> f | _ -> [] in
+          Util.Jsonx.Obj
             (fields
             @ [
-                ("cache_setup", Jsonx.Str (tier_name setup_tier));
-                ("cache_models", Jsonx.Str (tier_name tier));
-                ("sampler_setup_seconds", Jsonx.Num setup_seconds);
+                ("cache_setup", Util.Jsonx.Str (tier_name setup_tier));
+                ("cache_models", Util.Jsonx.Str (tier_name tier));
+                ("sampler_setup_seconds", Util.Jsonx.Num setup_seconds);
               ]))
   | Protocol.Compare { circuit; r; seed; n } -> (
       match get_setup t circuit with
@@ -661,17 +591,17 @@ let execute t (request : Protocol.request) : Jsonx.t =
             Ssta.Experiment.compare ~reference ~reference_setup_seconds:ref_setup_s ~candidate
               ~candidate_setup_seconds:cand_setup_s
           in
-          Jsonx.Obj
+          Util.Jsonx.Obj
             [
               ("reference", mc_payload reference);
               ("candidate", mc_payload candidate);
-              ("e_mu_pct", Jsonx.Num cmp.Ssta.Experiment.e_mu_pct);
-              ("e_sigma_pct", Jsonx.Num cmp.Ssta.Experiment.e_sigma_pct);
+              ("e_mu_pct", Util.Jsonx.Num cmp.Ssta.Experiment.e_mu_pct);
+              ("e_sigma_pct", Util.Jsonx.Num cmp.Ssta.Experiment.e_sigma_pct);
               ( "sigma_err_avg_outputs_pct",
-                Jsonx.Num cmp.Ssta.Experiment.sigma_err_avg_outputs_pct );
+                Util.Jsonx.Num cmp.Ssta.Experiment.sigma_err_avg_outputs_pct );
               ( "excluded_endpoints",
-                Jsonx.Num (float_of_int cmp.Ssta.Experiment.excluded_endpoints) );
-              ("speedup", Jsonx.Num cmp.Ssta.Experiment.speedup);
+                Util.Jsonx.Num (float_of_int cmp.Ssta.Experiment.excluded_endpoints) );
+              ("speedup", Util.Jsonx.Num cmp.Ssta.Experiment.speedup);
             ])
   | Protocol.Retime { circuit; r; n_blocks; edit } -> (
       match get_setup_edited t circuit edit with
@@ -689,21 +619,21 @@ let execute t (request : Protocol.request) : Jsonx.t =
           ignore
             (Atomic.fetch_and_add t.n_blocks_recomputed
                counters.Hier.Engine.blocks_recomputed);
-          Jsonx.Obj
+          Util.Jsonx.Obj
             [
-              ("circuit", Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
-              ("n_blocks", Jsonx.Num (float_of_int result.Hier.Engine.n_blocks));
-              ("basis_dim", Jsonx.Num (float_of_int result.Hier.Engine.basis_dim));
-              ("worst_mean", Jsonx.Num result.Hier.Engine.worst.Ssta.Canonical.mean);
-              ("worst_sigma", Jsonx.Num (Ssta.Canonical.sigma result.Hier.Engine.worst));
+              ("circuit", Util.Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
+              ("n_blocks", Util.Jsonx.Num (float_of_int result.Hier.Engine.n_blocks));
+              ("basis_dim", Util.Jsonx.Num (float_of_int result.Hier.Engine.basis_dim));
+              ("worst_mean", Util.Jsonx.Num result.Hier.Engine.worst.Ssta.Canonical.mean);
+              ("worst_sigma", Util.Jsonx.Num (Ssta.Canonical.sigma result.Hier.Engine.worst));
               ( "endpoints",
-                Jsonx.Num (float_of_int (Array.length result.Hier.Engine.endpoint_forms)) );
-              ("blocks_reused", Jsonx.Num (float_of_int counters.Hier.Engine.blocks_reused));
+                Util.Jsonx.Num (float_of_int (Array.length result.Hier.Engine.endpoint_forms)) );
+              ("blocks_reused", Util.Jsonx.Num (float_of_int counters.Hier.Engine.blocks_reused));
               ( "blocks_recomputed",
-                Jsonx.Num (float_of_int counters.Hier.Engine.blocks_recomputed) );
-              ("analysis_seconds", Jsonx.Num result.Hier.Engine.analysis_seconds);
-              ("cache_setup", Jsonx.Str (tier_name setup_tier));
-              ("cache_models", Jsonx.Str (tier_name model_tier));
+                Util.Jsonx.Num (float_of_int counters.Hier.Engine.blocks_recomputed) );
+              ("analysis_seconds", Util.Jsonx.Num result.Hier.Engine.analysis_seconds);
+              ("cache_setup", Util.Jsonx.Str (tier_name setup_tier));
+              ("cache_models", Util.Jsonx.Str (tier_name model_tier));
             ])
   | Protocol.Stats -> stats_payload t
   | Protocol.Health -> health_payload t
@@ -711,7 +641,7 @@ let execute t (request : Protocol.request) : Jsonx.t =
   | Protocol.Debug -> Telemetry.debug_payload t.telemetry
   | Protocol.Shutdown ->
       Atomic.set t.shutdown_flag true;
-      Jsonx.Obj [ ("shutting_down", Jsonx.Bool true) ]
+      Util.Jsonx.Obj [ ("shutting_down", Util.Jsonx.Bool true) ]
 
 let method_name (request : Protocol.request) =
   match request.Protocol.call with
@@ -737,7 +667,7 @@ let safe_reply t job response =
     Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
       ~stage:"serve.reply"
       (Printf.sprintf "duplicate reply for request id=%s suppressed"
-         (Jsonx.to_string job.request.Protocol.id))
+         (Util.Jsonx.to_string job.request.Protocol.id))
   else begin
     let t0 = Util.Trace.now_ns () in
     (try job.reply response
@@ -746,7 +676,7 @@ let safe_reply t job response =
        Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
          ~stage:"serve.reply"
          (Printf.sprintf "reply for request id=%s dropped: %s"
-            (Jsonx.to_string job.request.Protocol.id)
+            (Util.Jsonx.to_string job.request.Protocol.id)
             (Printexc.to_string e)));
     job.reply_write_ns <- Util.Trace.now_ns () - t0
   end
@@ -913,7 +843,7 @@ let on_worker_crash t (slot : job option ref) e ~restarts =
         Util.Diag.record ~sink:t.diag Util.Diag.Warning `Degraded_fallback
           ~stage:"serve.worker"
           (Printf.sprintf "request id=%s quarantined after crashing %d workers"
-             (Jsonx.to_string job.request.Protocol.id)
+             (Util.Jsonx.to_string job.request.Protocol.id)
              attempts);
         safe_reply t job
           (job.codec.rc_error ~id:job.request.Protocol.id ~req_id:(echo_req_id job)

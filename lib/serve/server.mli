@@ -69,7 +69,7 @@ type config = {
           method); [0.] admits every request, so the ring holds the most
           recent [slow_ring] requests *)
   slow_ring : int;  (** slow-request ring capacity *)
-  request_log : (Jsonx.t -> unit) option;
+  request_log : (Util.Jsonx.t -> unit) option;
       (** structured request-log sink ([ssta_serve --log-json]): one JSON
           object per executed request. Called from worker domains — must be
           thread-safe. *)
@@ -129,13 +129,13 @@ val worker_restarts : t -> int
 val quarantined : t -> int
 (** Requests quarantined after repeatedly crashing workers. *)
 
-val stats_payload : t -> Jsonx.t
+val stats_payload : t -> Util.Jsonx.t
 (** The same JSON object a [stats] request returns: request/reject/deadline
     counters, [replies_dropped] (replies that raised mid-write — a dead
     client), [requeued] and [singleflight_dedup], queue occupancy, worker
     restart/quarantine counts, LRU and store statistics. *)
 
-val health_payload : t -> Jsonx.t
+val health_payload : t -> Util.Jsonx.t
 (** The same JSON object a [health] request returns: [healthy] (accepting
     work), worker liveness ([workers], [workers_busy], [worker_restarts],
     [quarantined]), queue depth, cache entries and store status — the

@@ -36,7 +36,7 @@ type t = {
   mutable seq : int;  (* total qualifying requests ever admitted *)
   stage_hists : Histogram.t array;  (* indexed by [stage_index] *)
   total_hist : Histogram.t;
-  mutable log : (Jsonx.t -> unit) option;
+  mutable log : (Util.Jsonx.t -> unit) option;
 }
 
 let create ?(slow_ms = 0.) ?(ring_size = 64) () =
@@ -79,14 +79,14 @@ let record_request t ~req_id ~method_ ~ok ~stages ~total_ns =
     | None -> ()
     | Some sink ->
         sink
-          (Jsonx.Obj
+          (Util.Jsonx.Obj
              ([
-                ("req_id", Jsonx.Str req_id);
-                ("method", Jsonx.Str method_);
-                ("ok", Jsonx.Bool ok);
-                ("total_ms", Jsonx.Num (ms_of_ns total_ns));
+                ("req_id", Util.Jsonx.Str req_id);
+                ("method", Util.Jsonx.Str method_);
+                ("ok", Util.Jsonx.Bool ok);
+                ("total_ms", Util.Jsonx.Num (ms_of_ns total_ns));
               ]
-             @ List.map (fun (name, ns) -> (name ^ "_ms", Jsonx.Num (ms_of_ns ns))) stage_ns
+             @ List.map (fun (name, ns) -> (name ^ "_ms", Util.Jsonx.Num (ms_of_ns ns))) stage_ns
              ))
   end
 
@@ -105,14 +105,14 @@ let quantile_points =
 let quantiles_payload h =
   let n = Histogram.count h in
   let mean_ms = if n = 0 then 0. else ms_of_ns (Histogram.sum h) /. float_of_int n in
-  Jsonx.Obj
-    ([ ("count", Jsonx.Num (float_of_int n)) ]
+  Util.Jsonx.Obj
+    ([ ("count", Util.Jsonx.Num (float_of_int n)) ]
     @ List.map
-        (fun (key, _, p) -> (key, Jsonx.Num (ms_of_ns (Histogram.quantile h p))))
+        (fun (key, _, p) -> (key, Util.Jsonx.Num (ms_of_ns (Histogram.quantile h p))))
         quantile_points
     @ [
-        ("max_ms", Jsonx.Num (ms_of_ns (Histogram.max_value h)));
-        ("mean_ms", Jsonx.Num mean_ms);
+        ("max_ms", Util.Jsonx.Num (ms_of_ns (Histogram.max_value h)));
+        ("mean_ms", Util.Jsonx.Num mean_ms);
       ])
 
 (* metric names must match [a-zA-Z_:][a-zA-Z0-9_:]* *)
@@ -157,13 +157,14 @@ let named_hists t =
 let prometheus t ~counters = prometheus_of ~counters (named_hists t)
 
 let payload_of ~counters named_hists =
-  Jsonx.Obj
+  Util.Jsonx.Obj
     [
       ( "counters",
-        Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Num (float_of_int v))) counters) );
-      ("stages", Jsonx.Obj (List.map (fun (s, h) -> (s, quantiles_payload h)) named_hists));
-      ("histograms", Jsonx.Obj (List.map (fun (s, h) -> (s, Histogram.to_json h)) named_hists));
-      ("prometheus", Jsonx.Str (prometheus_of ~counters named_hists));
+        Util.Jsonx.Obj (List.map (fun (k, v) -> (k, Util.Jsonx.Num (float_of_int v))) counters) );
+      ("stages", Util.Jsonx.Obj (List.map (fun (s, h) -> (s, quantiles_payload h)) named_hists));
+      ( "histograms",
+        Util.Jsonx.Obj (List.map (fun (s, h) -> (s, Histogram.to_json h)) named_hists) );
+      ("prometheus", Util.Jsonx.Str (prometheus_of ~counters named_hists));
     ]
 
 let metrics_payload t ~counters = payload_of ~counters (named_hists t)
@@ -177,12 +178,12 @@ let merge_metrics payloads =
   let hist_order = ref [] and hists = Hashtbl.create 8 in
   List.iter
     (fun payload ->
-      (match Option.bind (Jsonx.member "counters" payload) Jsonx.as_obj with
+      (match Option.bind (Util.Jsonx.member "counters" payload) Util.Jsonx.as_obj with
       | None -> ()
       | Some fields ->
           List.iter
             (fun (name, v) ->
-              match Jsonx.as_int v with
+              match Util.Jsonx.as_int v with
               | None -> ()
               | Some v ->
                   if not (Hashtbl.mem counter_sum name) then begin
@@ -191,7 +192,7 @@ let merge_metrics payloads =
                   end;
                   Hashtbl.replace counter_sum name (Hashtbl.find counter_sum name + v))
             fields);
-      match Option.bind (Jsonx.member "histograms" payload) Jsonx.as_obj with
+      match Option.bind (Util.Jsonx.member "histograms" payload) Util.Jsonx.as_obj with
       | None -> ()
       | Some fields ->
           List.iter
@@ -226,26 +227,26 @@ let debug_payload t =
         done;
         List.sort (fun (a : slow_entry) (b : slow_entry) -> Int.compare a.seq b.seq) !out)
   in
-  Jsonx.Obj
+  Util.Jsonx.Obj
     [
-      ("slow_ms", Jsonx.Num t.slow_ms);
-      ("ring_size", Jsonx.Num (float_of_int t.ring_size));
-      ("seen", Jsonx.Num (float_of_int (Mutex.protect t.lock (fun () -> t.seq))));
+      ("slow_ms", Util.Jsonx.Num t.slow_ms);
+      ("ring_size", Util.Jsonx.Num (float_of_int t.ring_size));
+      ("seen", Util.Jsonx.Num (float_of_int (Mutex.protect t.lock (fun () -> t.seq))));
       ( "slow_requests",
-        Jsonx.List
+        Util.Jsonx.List
           (List.map
              (fun (e : slow_entry) ->
-               Jsonx.Obj
+               Util.Jsonx.Obj
                  [
-                   ("seq", Jsonx.Num (float_of_int e.seq));
-                   ("req_id", Jsonx.Str e.req_id);
-                   ("method", Jsonx.Str e.method_);
-                   ("ok", Jsonx.Bool e.ok);
-                   ("total_ms", Jsonx.Num (ms_of_ns e.total_ns));
+                   ("seq", Util.Jsonx.Num (float_of_int e.seq));
+                   ("req_id", Util.Jsonx.Str e.req_id);
+                   ("method", Util.Jsonx.Str e.method_);
+                   ("ok", Util.Jsonx.Bool e.ok);
+                   ("total_ms", Util.Jsonx.Num (ms_of_ns e.total_ns));
                    ( "stages_ms",
-                     Jsonx.Obj
+                     Util.Jsonx.Obj
                        (List.map
-                          (fun (name, ns) -> (name, Jsonx.Num (ms_of_ns ns)))
+                          (fun (name, ns) -> (name, Util.Jsonx.Num (ms_of_ns ns)))
                           e.stage_ns) );
                  ])
              entries) );

@@ -42,7 +42,7 @@ val set_enabled : t -> bool -> unit
 
 val enabled : t -> bool
 
-val set_log : t -> (Jsonx.t -> unit) option -> unit
+val set_log : t -> (Util.Jsonx.t -> unit) option -> unit
 (** Structured request-log sink ([ssta_serve --log-json]): called once per
     recorded request with a one-line JSON object (request ID, method,
     outcome, per-stage milliseconds). *)
@@ -62,7 +62,7 @@ val record_request :
 val stage_histogram : t -> stage -> Util.Histogram.t
 val total_histogram : t -> Util.Histogram.t
 
-val metrics_payload : t -> counters:(string * int) list -> Jsonx.t
+val metrics_payload : t -> counters:(string * int) list -> Util.Jsonx.t
 (** The [metrics] response: [{"counters": {...}, "stages": {<stage>:
     {count, p50_ms, p90_ms, p99_ms, p999_ms, max_ms, mean_ms}},
     "histograms": {<stage>: <versioned histogram JSON>}, "prometheus":
@@ -74,14 +74,14 @@ val prometheus : t -> counters:(string * int) list -> string
     per entry plus [ssta_stage_latency_seconds{stage=...,quantile=...}]
     summaries with [_sum]/[_count]. *)
 
-val merge_metrics : Jsonx.t list -> Jsonx.t
+val merge_metrics : Util.Jsonx.t list -> Util.Jsonx.t
 (** Router-side cluster view: merge shard {!metrics_payload}s — counters
     summed by name, histograms merged bucket-by-bucket (the fixed layout
     makes this exact), quantiles and the Prometheus text recomputed from
     the merged histograms. Shard payload entries that fail to decode are
     skipped. *)
 
-val debug_payload : t -> Jsonx.t
+val debug_payload : t -> Util.Jsonx.t
 (** The [debug] response: [{"slow_ms": <threshold>, "slow_requests":
     [{seq, req_id, method, ok, total_ms, stages: {...}}]}], oldest first. *)
 

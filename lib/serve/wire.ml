@@ -87,26 +87,26 @@ let read_frame ?(magic_consumed = false) ic =
 let max_depth = 1000
 
 let rec encode_jsonx w = function
-  | Jsonx.Null -> C.write_u8 w 0
-  | Jsonx.Bool false -> C.write_u8 w 1
-  | Jsonx.Bool true -> C.write_u8 w 2
-  | Jsonx.Num v ->
+  | Util.Jsonx.Null -> C.write_u8 w 0
+  | Util.Jsonx.Bool false -> C.write_u8 w 1
+  | Util.Jsonx.Bool true -> C.write_u8 w 2
+  | Util.Jsonx.Num v ->
       C.write_u8 w 3;
       C.write_float w v
-  | Jsonx.Str s ->
+  | Util.Jsonx.Str s ->
       C.write_u8 w 4;
       C.write_string w s
-  | Jsonx.List ((_ :: _) as items)
-    when List.for_all (function Jsonx.Num _ -> true | _ -> false) items ->
+  | Util.Jsonx.List ((_ :: _) as items)
+    when List.for_all (function Util.Jsonx.Num _ -> true | _ -> false) items ->
       (* the payload-heavy case: numeric vectors ship as raw IEEE-754 bytes *)
       C.write_u8 w 7;
       C.write_float_array w
-        (Array.of_list (List.map (function Jsonx.Num v -> v | _ -> assert false) items))
-  | Jsonx.List items ->
+        (Array.of_list (List.map (function Util.Jsonx.Num v -> v | _ -> assert false) items))
+  | Util.Jsonx.List items ->
       C.write_u8 w 5;
       C.write_uint w (List.length items);
       List.iter (encode_jsonx w) items
-  | Jsonx.Obj fields ->
+  | Util.Jsonx.Obj fields ->
       C.write_u8 w 6;
       C.write_uint w (List.length fields);
       List.iter
@@ -124,11 +124,11 @@ let decode_jsonx rd =
     if depth > max_depth then
       raise (C.Error (Printf.sprintf "value nesting exceeds depth cap %d" max_depth));
     match C.read_u8 rd with
-    | 0 -> Jsonx.Null
-    | 1 -> Jsonx.Bool false
-    | 2 -> Jsonx.Bool true
-    | 3 -> Jsonx.Num (C.read_float rd)
-    | 4 -> Jsonx.Str (C.read_string rd)
+    | 0 -> Util.Jsonx.Null
+    | 1 -> Util.Jsonx.Bool false
+    | 2 -> Util.Jsonx.Bool true
+    | 3 -> Util.Jsonx.Num (C.read_float rd)
+    | 4 -> Util.Jsonx.Str (C.read_string rd)
     | 5 ->
         let n = C.read_uint rd in
         count_guard n "list";
@@ -136,7 +136,7 @@ let decode_jsonx rd =
         for _ = 1 to n do
           acc := go (depth + 1) :: !acc
         done;
-        Jsonx.List (List.rev !acc)
+        Util.Jsonx.List (List.rev !acc)
     | 6 ->
         let n = C.read_uint rd in
         count_guard n "object";
@@ -146,8 +146,10 @@ let decode_jsonx rd =
           let v = go (depth + 1) in
           acc := (k, v) :: !acc
         done;
-        Jsonx.Obj (List.rev !acc)
-    | 7 -> Jsonx.List (Array.to_list (Array.map (fun v -> Jsonx.Num v) (C.read_float_array rd)))
+        Util.Jsonx.Obj (List.rev !acc)
+    | 7 ->
+        Util.Jsonx.List
+          (Array.to_list (Array.map (fun v -> Util.Jsonx.Num v) (C.read_float_array rd)))
     | t -> raise (C.Error (Printf.sprintf "unknown value tag %d" t))
   in
   go 0
@@ -247,7 +249,7 @@ let decode_request payload =
   let rd = C.reader payload in
   match decode_jsonx rd with
   | exception C.Error msg ->
-      rejected Jsonx.Null Protocol.Invalid_request ("bad request id: " ^ msg)
+      rejected Util.Jsonx.Null Protocol.Invalid_request ("bad request id: " ^ msg)
   | id -> (
       try
         let deadline_ms = C.read_option rd C.read_float in

@@ -14,7 +14,7 @@
     existing JSON clients keep working unchanged.
 
     Payloads carry the same structured values as the JSON wire (requests
-    decode to {!Protocol.request}; response payloads are {!Jsonx.t}), so a
+    decode to {!Protocol.request}; response payloads are {!Util.Jsonx.t}), so a
     request answered over either wire yields a bit-identical result. *)
 
 val magic0 : char
@@ -56,13 +56,13 @@ val read_frame : ?magic_consumed:bool -> in_channel -> (string, read_error) resu
 
 (** {1 Structured values} *)
 
-val encode_jsonx : Persist.Codec.writer -> Jsonx.t -> unit
+val encode_jsonx : Persist.Codec.writer -> Util.Jsonx.t -> unit
 (** Tagged binary encoding of a JSON tree. A non-empty [List] of all-[Num]
     elements is packed as a raw float array ({!Persist.Codec.write_float_array})
     — zero escape cost for the numeric vectors that dominate payload-heavy
     responses. *)
 
-val decode_jsonx : Persist.Codec.reader -> Jsonx.t
+val decode_jsonx : Persist.Codec.reader -> Util.Jsonx.t
 (** Inverse of {!encode_jsonx} (float-array packing decodes back to a [List]
     of [Num]). Raises {!Persist.Codec.Error} on malformed input, including a
     nesting-depth cap against stack-smashing payloads. *)
@@ -82,16 +82,18 @@ val decode_request : string -> (Protocol.request, Protocol.reject) result
 
 (** {1 Responses} *)
 
-val ok_response : id:Jsonx.t -> ?req_id:string -> Jsonx.t -> string
+val ok_response : id:Util.Jsonx.t -> ?req_id:string -> Util.Jsonx.t -> string
 (** One full frame. [?req_id] echoes the request's correlation ID as the
     version-2 trailing section; omitted → a version-1 frame, so replies to
     old clients are byte-identical to before. *)
 
-val error_response : id:Jsonx.t -> ?req_id:string -> Protocol.error_code -> string -> string
+val error_response : id:Util.Jsonx.t -> ?req_id:string -> Protocol.error_code -> string -> string
 
 val decode_response :
   string ->
-  (Jsonx.t * string option * (Jsonx.t, Protocol.error_code * string) result, string) result
+  ( Util.Jsonx.t * string option * (Util.Jsonx.t, Protocol.error_code * string) result,
+    string )
+  result
 (** Decode one binary response frame payload into
     [(id, echoed req_id, Ok payload | Error (code, message))]; [Error msg]
     when the payload itself is malformed. *)

@@ -21,28 +21,26 @@ type t = {
   setup_seconds : float;
 }
 
+let die_mesh config =
+  (Geometry.Refine.mesh Geometry.Rect.unit_die ~max_area_fraction:config.max_area_fraction
+     ~min_angle_deg:config.min_angle_deg)
+    .Geometry.Geometry_intf.mesh
+
+let solve_model ~config ?diag ?jobs mesh kernel =
+  let solver =
+    if config.computed_pairs >= Geometry.Mesh.size mesh then Kle.Galerkin.Dense
+    else Kle.Galerkin.Lanczos { count = config.computed_pairs }
+  in
+  Kle.Model.create ?r:config.r
+    (Kle.Galerkin.solve ~mode:config.mode ~solver ?diag ?jobs mesh kernel)
+
 let prepare ?(config = paper_config) ?mesh ?diag ?jobs (process : Process.t) locations =
   Util.Trace.with_span
     ~attrs:[ ("locations", string_of_int (Array.length locations)) ]
     "algorithm2.prepare"
   @@ fun () ->
   let timer = Util.Timer.start () in
-  let mesh =
-    match mesh with
-    | Some m -> m
-    | None ->
-        let result =
-          Geometry.Refine.mesh Geometry.Rect.unit_die
-            ~max_area_fraction:config.max_area_fraction
-            ~min_angle_deg:config.min_angle_deg
-        in
-        result.Geometry.Geometry_intf.mesh
-  in
-  let n = Geometry.Mesh.size mesh in
-  let solver =
-    if config.computed_pairs >= n then Kle.Galerkin.Dense
-    else Kle.Galerkin.Lanczos { count = config.computed_pairs }
-  in
+  let mesh = match mesh with Some m -> m | None -> die_mesh config in
   let cache : (Kernels.Kernel.t * Kle.Model.t) list ref = ref [] in
   (* cache key by PHYSICAL equality: [Kernel.t] can carry closures (a
      [Faulty] plan with a [Transform] corruption), on which
@@ -53,10 +51,7 @@ let prepare ?(config = paper_config) ?mesh ?diag ?jobs (process : Process.t) loc
     match List.find_opt (fun (k, _) -> k == kernel) !cache with
     | Some (_, m) -> m
     | None ->
-        let solution =
-          Kle.Galerkin.solve ~mode:config.mode ~solver ?diag ?jobs mesh kernel
-        in
-        let m = Kle.Model.create ?r:config.r solution in
+        let m = solve_model ~config ?diag ?jobs mesh kernel in
         cache := (kernel, m) :: !cache;
         m
   in

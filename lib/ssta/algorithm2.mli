@@ -21,6 +21,23 @@ val paper_config : config
 
 type t
 
+val die_mesh : config -> Geometry.Mesh.t
+(** The unit-die mesh at [config]'s resolution and quality bound. *)
+
+val solve_model :
+  config:config ->
+  ?diag:Util.Diag.sink ->
+  ?jobs:int ->
+  Geometry.Mesh.t ->
+  Kernels.Kernel.t ->
+  Kle.Model.t
+(** One kernel's truncated KLE model: {!Kle.Galerkin.solve} with
+    [config.mode], dense QL when [computed_pairs] covers the mesh and
+    Lanczos for [computed_pairs] pairs otherwise, truncated to
+    [config.r]. What {!prepare} runs per distinct kernel; the analysis
+    server's cached models come from the same call, so they are
+    bit-identical. *)
+
 val prepare :
   ?config:config ->
   ?mesh:Geometry.Mesh.t ->

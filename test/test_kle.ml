@@ -420,9 +420,10 @@ let test_sample_matrix_with_width_check () =
 
 (* ---------- matrix-free operator ---------- *)
 
-(* every shipped kernel family, isotropic and not (Faulty excluded: a fault
-   plan's internal counter advances per evaluation, so the assembled and
-   matrix-free paths would see different fault sites by construction) *)
+(* every shipped kernel family, isotropic and not, plus a [Faulty]
+   decorator whose plan never fires (limit 0): it takes the exact-row path
+   like any kernel the radial table rejects, without a fault counter that
+   would advance differently under assembly and the apply *)
 let operator_kernels =
   [
     gaussian;
@@ -433,35 +434,60 @@ let operator_kernels =
     K.Linear_cone { rho = 1.0 };
     K.Spherical { rho = 1.0 };
     K.Anisotropic_gaussian { cx = 2.0; cy = 0.7 };
+    K.Faulty { base = gaussian; plan = Util.Fault.plan ~limit:0 Util.Fault.Nan };
   ]
 
 let random_vec seed n =
   let rng = Prng.Rng.create ~seed in
   Array.init n (fun _ -> Prng.Rng.uniform rng -. 0.5)
 
-let test_operator_exact_apply_matches_assembled () =
-  (* property: in exact mode the matrix-free apply is the same linear map as
-     the assembled matrix, for every shipped kernel, to 1e-12 (the paths sum
-     the same products in different orders) *)
-  let mesh = Lazy.force mesh_fine in
+(* kernels the operator evaluates exactly: the ones its radial table (built
+   over the domain diameter, as the operator builds it) rejects *)
+let table_rejects mesh kernel =
+  let d = mesh.Geometry.Mesh.domain in
+  Option.is_none
+    (K.radial_profile kernel
+       ~vmax:(Float.hypot (Geometry.Rect.width d) (Geometry.Rect.height d)))
+
+(* [Operator.galerkin] against the assembled matrix: the same linear map to
+   1e-12 where the table is rejected (exact rows, the two paths sum the same
+   products in different orders), within the table's error budget (1e-7)
+   where it is used *)
+let check_apply_matches_assembled ~quadrature ~trials mesh kernel =
   let n = Geometry.Mesh.size mesh in
+  let c = Kle.Galerkin.assemble ~quadrature mesh kernel in
+  let op = Kle.Operator.galerkin ~quadrature mesh kernel in
+  Alcotest.(check int) "dim" n (Kle.Operator.dim op);
+  let tol = if table_rejects mesh kernel then 1e-12 else 1e-7 in
+  for trial = 0 to trials - 1 do
+    let x = random_vec ((31 * trial) + 7) n in
+    let y_dense = Linalg.Mat.mul_vec c x in
+    Array.iteri
+      (fun i v ->
+        check_close ~tol
+          (Printf.sprintf "%s row %d trial %d" (K.name kernel) i trial)
+          y_dense.(i) v)
+      (Kle.Operator.apply op x)
+  done
+
+let test_operator_apply_matches_assembled () =
+  let mesh = Lazy.force mesh_fine in
+  List.iter (check_apply_matches_assembled ~quadrature:Kle.Operator.Centroid ~trials:3 mesh)
+    operator_kernels;
+  (* both paths are really exercised: the table takes the paper's
+     Gaussian, and rejects the non-isotropic families and the decorator *)
+  Alcotest.(check bool) "table used for the Gaussian" false (table_rejects mesh gaussian);
   List.iter
     (fun kernel ->
-      let c = Kle.Galerkin.assemble mesh kernel in
-      let op = Kle.Operator.galerkin ~mode:Kle.Operator.Exact mesh kernel in
-      Alcotest.(check int) "dim" n (Kle.Operator.dim op);
-      for trial = 0 to 2 do
-        let x = random_vec ((31 * trial) + 7) n in
-        let y_dense = Linalg.Mat.mul_vec c x in
-        let y_free = Kle.Operator.apply op x in
-        Array.iteri
-          (fun i v ->
-            check_close ~tol:1e-12
-              (Printf.sprintf "%s row %d trial %d" (K.name kernel) i trial)
-              y_dense.(i) v)
-          y_free
-      done)
-    operator_kernels
+      Alcotest.(check bool) (K.name kernel ^ " evaluated exactly") true
+        (table_rejects mesh kernel))
+    (List.filter
+       (function
+         | K.Separable_exp_l1 _ | K.Radial_exponential _ | K.Anisotropic_gaussian _ | K.Faulty _
+           ->
+             true
+         | _ -> false)
+       operator_kernels)
 
 let test_operator_table_apply_close_to_assembled () =
   (* with the radial profile table on (default), isotropic kernels stay
@@ -494,21 +520,18 @@ let test_operator_apply_jobs_independent () =
 
 let test_operator_midedge_quadrature () =
   let mesh = Lazy.force mesh_coarse in
-  let n = Geometry.Mesh.size mesh in
-  let c = Kle.Galerkin.assemble ~quadrature:Kle.Galerkin.Midedge mesh gaussian in
-  let op = Kle.Operator.galerkin ~quadrature:Kle.Operator.Midedge ~mode:Kle.Operator.Exact mesh gaussian in
-  let x = random_vec 19 n in
-  let y_dense = Linalg.Mat.mul_vec c x in
-  let y_free = Kle.Operator.apply op x in
-  Array.iteri
-    (fun i v -> check_close ~tol:1e-12 (Printf.sprintf "row %d" i) y_dense.(i) v)
-    y_free
+  List.iter (check_apply_matches_assembled ~quadrature:Kle.Operator.Midedge ~trials:1 mesh)
+    [ gaussian; K.Separable_exp_l1 { c = 1.0 } ]
+
+let solve_over_operator ?lanczos_max_dim ?diag ~solver mesh kernel =
+  Kle.Galerkin.solve_with_operator ~solver ?lanczos_max_dim ?diag
+    ~op:(Kle.Operator.galerkin mesh kernel) mesh kernel
 
 let test_matrix_free_solve_matches_assembled () =
   let mesh = Lazy.force mesh_fine in
   let solver = Kle.Galerkin.Lanczos { count = 10 } in
   let a = Kle.Galerkin.solve ~mode:Kle.Galerkin.Assembled ~solver mesh gaussian in
-  let m = Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free ~solver mesh gaussian in
+  let m = solve_over_operator ~solver mesh gaussian in
   Array.iteri
     (fun j v ->
       let rel = Float.abs (v -. m.Kle.Galerkin.eigenvalues.(j)) /. v in
@@ -518,16 +541,15 @@ let test_matrix_free_solve_matches_assembled () =
     a.Kle.Galerkin.eigenvalues
 
 let test_matrix_free_fallback_chain () =
-  (* Matrix_free + starved Krylov budget -> No_convergence -> assembled
-     dense fallback, with both diagnostics on record *)
+  (* operator Lanczos + starved Krylov budget -> No_convergence ->
+     assembled dense fallback, with both diagnostics on record *)
   let mesh = Lazy.force mesh_coarse in
   let kernel = K.Exponential { c = 1.5 } in
   let diag = Util.Diag.create () in
   let count = 8 in
   let sol =
-    Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free
-      ~solver:(Kle.Galerkin.Lanczos { count })
-      ~lanczos_max_dim:9 ~diag mesh kernel
+    solve_over_operator ~solver:(Kle.Galerkin.Lanczos { count }) ~lanczos_max_dim:9 ~diag
+      mesh kernel
   in
   Alcotest.(check bool) "no-convergence recorded" true
     (Util.Diag.count ~code:`No_convergence diag > 0);
@@ -546,12 +568,27 @@ let test_matrix_free_fallback_chain () =
 let test_matrix_free_dense_solver_rejected () =
   let mesh = Lazy.force mesh_coarse in
   Alcotest.(check bool) "raises" true
-    (match
-       Kle.Galerkin.solve ~mode:Kle.Galerkin.Matrix_free ~solver:Kle.Galerkin.Dense
-         mesh gaussian
-     with
+    (match solve_over_operator ~solver:Kle.Galerkin.Dense mesh gaussian with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+let test_operator_dim_mismatch_rejected () =
+  (* an operator of another mesh is refused up front, naming both sizes,
+     instead of running the whole Lanczos solve first *)
+  let coarse = Lazy.force mesh_coarse and fine = Lazy.force mesh_fine in
+  let op = Kle.Operator.galerkin coarse gaussian in
+  match
+    Kle.Galerkin.solve_with_operator ~solver:(Kle.Galerkin.Lanczos { count = 4 }) ~op fine
+      gaussian
+  with
+  | _ -> Alcotest.fail "mismatched operator accepted"
+  | exception Invalid_argument msg ->
+      let words = String.split_on_char ' ' msg in
+      let mentions mesh = List.mem (string_of_int (Geometry.Mesh.size mesh)) words in
+      Alcotest.(check bool)
+        (Printf.sprintf "message names both sizes: %s" msg)
+        true
+        (mentions coarse && mentions fine)
 
 (* ---------- hierarchical (H-matrix) operator ---------- *)
 
@@ -633,7 +670,7 @@ let test_hmatrix_apply_matches_exact () =
       | Error msg -> Alcotest.fail ("hierarchical build stalled: " ^ msg)
       | Ok hm ->
           Alcotest.(check bool) "some far-field compression happened" true
-            (hm.Kle.Hmatrix.stats.Kle.Hmatrix.far_blocks > 0);
+            ((Kle.Hmatrix.stats hm).Kle.Hmatrix.far_blocks > 0);
           let op = Kle.Operator.of_hmatrix hm in
           let x = random_vec 23 n in
           let y_dense = Linalg.Mat.mul_vec c x in
@@ -667,9 +704,9 @@ let test_hmatrix_build_jobs_independent () =
     (Kle.Hmatrix.apply h1 x) (Kle.Hmatrix.apply h4 x)
 
 let test_hierarchical_solve_matches_assembled () =
-  (* property: hierarchical-mode eigenvalues match the assembled solve
-     within the requested ACA tolerance budget, across kernel families and
-     mesh sizes *)
+  (* property: eigenvalues over the explicitly built H-matrix match the
+     assembled solve within the requested ACA tolerance budget, across
+     kernel families and mesh sizes *)
   List.iter
     (fun kernel ->
       List.iter
@@ -678,8 +715,11 @@ let test_hierarchical_solve_matches_assembled () =
           let solver = Kle.Galerkin.Lanczos { count = 12 } in
           let a = Kle.Galerkin.solve ~mode:Kle.Galerkin.Assembled ~solver mesh kernel in
           let h =
-            Kle.Galerkin.solve ~mode:Kle.Galerkin.Hierarchical ~hier:hier_params
-              ~solver mesh kernel
+            match Kle.Operator.hmatrix_galerkin ~hier:hier_params mesh kernel with
+            | Ok hm ->
+                Kle.Galerkin.solve_with_operator ~solver ~op:(Kle.Operator.of_hmatrix hm)
+                  mesh kernel
+            | Error msg -> Alcotest.fail ("hierarchical build stalled: " ^ msg)
           in
           Array.iteri
             (fun j v ->
@@ -692,25 +732,14 @@ let test_hierarchical_solve_matches_assembled () =
         [ 8; 10; 12 ])
     [ gaussian; K.Exponential { c = 1.5 }; K.Matern { b = 2.0; s = 2.5 } ]
 
-let test_hierarchical_fallback_on_aca_stall () =
+let test_hierarchical_aca_stall_is_error () =
   (* max_rank 1 at tol 1e-12 cannot converge on a genuine far-field block:
-     the build must fail over to the table apply and say so *)
+     the build reports it as [Error]; the caller owns the fallback *)
   let mesh = Lazy.force mesh_fine in
-  let n = Geometry.Mesh.size mesh in
-  let diag = Util.Diag.create () in
   let hier = { hier_params with Kle.Hmatrix.tol = 1e-12; max_rank = 1 } in
-  let op =
-    Kle.Operator.galerkin ~mode:Kle.Operator.Hierarchical ~hier ~diag mesh gaussian
-  in
-  Alcotest.(check bool) "fallback recorded" true
-    (Util.Diag.count ~code:`Degraded_fallback diag > 0);
-  (* the degraded operator is the table apply: still within its budget *)
-  let c = Kle.Galerkin.assemble mesh gaussian in
-  let x = random_vec 29 n in
-  let y_dense = Linalg.Mat.mul_vec c x in
-  Array.iteri
-    (fun i v -> check_close ~tol:1e-7 (Printf.sprintf "row %d" i) y_dense.(i) v)
-    (Kle.Operator.apply op x)
+  match Kle.Operator.hmatrix_galerkin ~hier mesh gaussian with
+  | Ok _ -> Alcotest.fail "ACA stall not reported"
+  | Error msg -> Alcotest.(check bool) "detail given" true (String.length msg > 0)
 
 let test_operator_concurrent_applies_bit_identical () =
   (* two domains hammering one operator must see exactly the results of
@@ -930,8 +959,8 @@ let () =
         ] );
       ( "operator",
         [
-          Alcotest.test_case "exact apply matches assembled (all kernels)" `Quick
-            test_operator_exact_apply_matches_assembled;
+          Alcotest.test_case "apply matches assembled (all kernels)" `Quick
+            test_operator_apply_matches_assembled;
           Alcotest.test_case "table apply within error budget" `Quick
             test_operator_table_apply_close_to_assembled;
           Alcotest.test_case "apply independent of jobs" `Quick
@@ -943,6 +972,8 @@ let () =
             test_matrix_free_fallback_chain;
           Alcotest.test_case "matrix-free + dense solver rejected" `Quick
             test_matrix_free_dense_solver_rejected;
+          Alcotest.test_case "operator dimension mismatch rejected" `Quick
+            test_operator_dim_mismatch_rejected;
           Alcotest.test_case "concurrent applies bit-identical" `Quick
             test_operator_concurrent_applies_bit_identical;
         ] );
@@ -957,8 +988,8 @@ let () =
             test_hmatrix_build_jobs_independent;
           Alcotest.test_case "hierarchical solve matches assembled" `Quick
             test_hierarchical_solve_matches_assembled;
-          Alcotest.test_case "ACA stall falls back to table" `Quick
-            test_hierarchical_fallback_on_aca_stall;
+          Alcotest.test_case "ACA stall returns Error" `Quick
+            test_hierarchical_aca_stall_is_error;
         ] );
       ( "p1",
         [

@@ -3,7 +3,6 @@
    including the satellite contract that Bench_format parse errors surface
    as typed [netlist_error] protocol errors. *)
 
-module Jsonx = Serve.Jsonx
 module Protocol = Serve.Protocol
 module Lru = Serve.Lru
 module Server = Serve.Server
@@ -11,13 +10,13 @@ module Server = Serve.Server
 (* ---------- jsonx ---------- *)
 
 let parse_ok s =
-  match Jsonx.parse s with
+  match Util.Jsonx.parse s with
   | Ok v -> v
   | Error msg -> Alcotest.failf "parse %S failed: %s" s msg
 
 let test_jsonx_roundtrip () =
   List.iter
-    (fun s -> Alcotest.(check string) s s (Jsonx.to_string (parse_ok s)))
+    (fun s -> Alcotest.(check string) s s (Util.Jsonx.to_string (parse_ok s)))
     [
       "null"; "true"; "false"; "0"; "-7"; "123456789"; "1.5"; "-0.25";
       "\"\""; "\"abc\""; "[]"; "[1,2,3]"; "{}";
@@ -26,29 +25,29 @@ let test_jsonx_roundtrip () =
 
 let test_jsonx_escapes () =
   Alcotest.(check (option string)) "basic escapes" (Some "a\"b\\c/\n\t\r\b\012")
-    (Jsonx.as_str (parse_ok {|"a\"b\\c\/\n\t\r\b\f"|}));
+    (Util.Jsonx.as_str (parse_ok {|"a\"b\\c\/\n\t\r\b\f"|}));
   Alcotest.(check (option string)) "bmp escape" (Some "\xe2\x82\xac")
-    (Jsonx.as_str (parse_ok {|"\u20ac"|}));
+    (Util.Jsonx.as_str (parse_ok {|"\u20ac"|}));
   Alcotest.(check (option string)) "surrogate pair" (Some "\xf0\x9d\x84\x9e")
-    (Jsonx.as_str (parse_ok {|"\ud834\udd1e"|}));
+    (Util.Jsonx.as_str (parse_ok {|"\ud834\udd1e"|}));
   (* output escapes control characters and quotes back to parseable form *)
   let s = "line1\nline2\t\"q\"" in
   Alcotest.(check (option string)) "escape roundtrip" (Some s)
-    (Jsonx.as_str (parse_ok (Jsonx.to_string (Jsonx.Str s))))
+    (Util.Jsonx.as_str (parse_ok (Util.Jsonx.to_string (Util.Jsonx.Str s))))
 
 let test_jsonx_numbers () =
-  Alcotest.(check (option int)) "int" (Some 42) (Jsonx.as_int (parse_ok "42"));
-  Alcotest.(check (option int)) "exp" (Some 1200) (Jsonx.as_int (parse_ok "1.2e3"));
-  Alcotest.(check (option int)) "not integral" None (Jsonx.as_int (parse_ok "1.5"));
-  Alcotest.(check string) "integral prints as int" "7" (Jsonx.to_string (Jsonx.Num 7.0));
-  Alcotest.(check string) "fraction keeps point" "0.5" (Jsonx.to_string (Jsonx.Num 0.5));
-  Alcotest.(check string) "nan is null" "null" (Jsonx.to_string (Jsonx.Num Float.nan))
+  Alcotest.(check (option int)) "int" (Some 42) (Util.Jsonx.as_int (parse_ok "42"));
+  Alcotest.(check (option int)) "exp" (Some 1200) (Util.Jsonx.as_int (parse_ok "1.2e3"));
+  Alcotest.(check (option int)) "not integral" None (Util.Jsonx.as_int (parse_ok "1.5"));
+  Alcotest.(check string) "integral prints as int" "7" (Util.Jsonx.to_string (Util.Jsonx.Num 7.0));
+  Alcotest.(check string) "fraction keeps point" "0.5" (Util.Jsonx.to_string (Util.Jsonx.Num 0.5));
+  Alcotest.(check string) "nan is null" "null" (Util.Jsonx.to_string (Util.Jsonx.Num Float.nan))
 
 let test_jsonx_errors () =
   List.iter
     (fun s ->
-      match Jsonx.parse s with
-      | Ok v -> Alcotest.failf "parse %S should fail, got %s" s (Jsonx.to_string v)
+      match Util.Jsonx.parse s with
+      | Ok v -> Alcotest.failf "parse %S should fail, got %s" s (Util.Jsonx.to_string v)
       | Error _ -> ())
     [
       ""; "{"; "["; "tru"; "nul"; "{\"a\"}"; "{\"a\":}"; "[1,]"; "{,}"; "\"unterminated";
@@ -57,9 +56,10 @@ let test_jsonx_errors () =
 
 let test_jsonx_member () =
   let v = parse_ok {|{"a":1,"b":"x"}|} in
-  Alcotest.(check (option int)) "a" (Some 1) (Option.bind (Jsonx.member "a" v) Jsonx.as_int);
-  Alcotest.(check bool) "missing" true (Jsonx.member "zz" v = None);
-  Alcotest.(check bool) "non-object" true (Jsonx.member "a" (Jsonx.Num 1.0) = None)
+  Alcotest.(check (option int)) "a" (Some 1)
+    (Option.bind (Util.Jsonx.member "a" v) Util.Jsonx.as_int);
+  Alcotest.(check bool) "missing" true (Util.Jsonx.member "zz" v = None);
+  Alcotest.(check bool) "non-object" true (Util.Jsonx.member "a" (Util.Jsonx.Num 1.0) = None)
 
 (* ---------- protocol ---------- *)
 
@@ -70,7 +70,7 @@ let decode_err line =
 
 let test_protocol_decode_ok () =
   (match Protocol.decode {|{"id":1,"method":"stats"}|} with
-  | Ok { id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats } -> ()
+  | Ok { id = Util.Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats } -> ()
   | _ -> Alcotest.fail "stats decode");
   (match
      Protocol.decode
@@ -78,7 +78,7 @@ let test_protocol_decode_ok () =
    with
   | Ok
       {
-        id = Jsonx.Str "x";
+        id = Util.Jsonx.Str "x";
         req_id = None;
         deadline_ms = Some 250.0;
         call =
@@ -115,18 +115,20 @@ let test_protocol_decode_errors () =
   check_code {|{"id":1,"deadline_ms":-5,"method":"stats"}|} Protocol.Bad_params;
   (* the id is still recovered for correlation whenever the line parses *)
   let id, _, _ = decode_err {|{"id":77,"method":"frobnicate"}|} in
-  Alcotest.(check (option int)) "id recovered" (Some 77) (Jsonx.as_int id);
+  Alcotest.(check (option int)) "id recovered" (Some 77) (Util.Jsonx.as_int id);
   let id, _, _ = decode_err "{not json" in
-  Alcotest.(check bool) "unparseable id is null" true (id = Jsonx.Null)
+  Alcotest.(check bool) "unparseable id is null" true (id = Util.Jsonx.Null)
 
 let test_protocol_responses () =
-  let ok = Protocol.ok_response ~id:(Jsonx.Num 3.0) (Jsonx.Obj [ ("x", Jsonx.Num 1.0) ]) in
+  let ok =
+    Protocol.ok_response ~id:(Util.Jsonx.Num 3.0) Util.Jsonx.(Obj [ ("x", Num 1.0) ])
+  in
   Alcotest.(check string) "ok" {|{"id":3,"ok":{"x":1}}|} ok;
-  let err = Protocol.error_response ~id:(Jsonx.Str "a") Protocol.Overloaded "queue full" in
+  let err = Protocol.error_response ~id:(Util.Jsonx.Str "a") Protocol.Overloaded "queue full" in
   Alcotest.(check string) "error"
     {|{"id":"a","error":{"code":"overloaded","message":"queue full"}}|} err;
   Alcotest.(check bool) "response_id" true
-    (Protocol.response_id ok = Some (Jsonx.Num 3.0))
+    (Protocol.response_id ok = Some (Util.Jsonx.Num 3.0))
 
 (* ---------- lru ---------- *)
 
@@ -254,24 +256,24 @@ let sync_call server line =
       Option.get !slot)
 
 let reply_json line =
-  match Jsonx.parse line with
+  match Util.Jsonx.parse line with
   | Ok v -> v
   | Error msg -> Alcotest.failf "reply not JSON: %s (%s)" line msg
 
 let expect_error line expected =
   let v = reply_json line in
-  match Option.bind (Jsonx.member "error" v) (Jsonx.member "code") with
-  | Some (Jsonx.Str code) ->
+  match Option.bind (Util.Jsonx.member "error" v) (Util.Jsonx.member "code") with
+  | Some (Util.Jsonx.Str code) ->
       Alcotest.(check string) "error code" (Protocol.error_code_name expected) code;
       Option.value ~default:""
         (Option.bind
-           (Option.bind (Jsonx.member "error" v) (Jsonx.member "message"))
-           Jsonx.as_str)
+           (Option.bind (Util.Jsonx.member "error" v) (Util.Jsonx.member "message"))
+           Util.Jsonx.as_str)
   | _ -> Alcotest.failf "expected %s error, got %s" (Protocol.error_code_name expected) line
 
 let expect_ok line =
   let v = reply_json line in
-  match Jsonx.member "ok" v with
+  match Util.Jsonx.member "ok" v with
   | Some payload -> payload
   | None -> Alcotest.failf "expected ok, got %s" line
 
@@ -293,15 +295,15 @@ let test_server_run_mc_ok () =
   with_server @@ fun server ->
   let payload = expect_ok (sync_call server (run_mc_line ())) in
   Alcotest.(check (option int)) "n_samples" (Some 32)
-    (Option.bind (Jsonx.member "n_samples" payload) Jsonx.as_int);
-  (match Option.bind (Jsonx.member "worst_mean" payload) Jsonx.as_num with
+    (Option.bind (Util.Jsonx.member "n_samples" payload) Util.Jsonx.as_int);
+  (match Option.bind (Util.Jsonx.member "worst_mean" payload) Util.Jsonx.as_num with
   | Some m when Float.is_finite m && m > 0.0 -> ()
   | _ -> Alcotest.fail "finite positive worst_mean expected");
   (* the reply is deterministic: same request, same numbers (cache hit path) *)
   let payload2 = expect_ok (sync_call server (run_mc_line ())) in
   Alcotest.(check (option float_exact)) "deterministic worst_mean"
-    (Option.bind (Jsonx.member "worst_mean" payload) Jsonx.as_num)
-    (Option.bind (Jsonx.member "worst_mean" payload2) Jsonx.as_num)
+    (Option.bind (Util.Jsonx.member "worst_mean" payload) Util.Jsonx.as_num)
+    (Option.bind (Util.Jsonx.member "worst_mean" payload2) Util.Jsonx.as_num)
 
 let test_server_cache_tiers () =
   with_server @@ fun server ->
@@ -311,14 +313,14 @@ let test_server_cache_tiers () =
       (escape_bench tiny_bench)
   in
   let first = expect_ok (sync_call server line) in
-  let tier j = Option.bind (Jsonx.member j first) Jsonx.as_str in
+  let tier j = Option.bind (Util.Jsonx.member j first) Util.Jsonx.as_str in
   Alcotest.(check (option string)) "first setup is a miss" (Some "miss")
     (tier "cache_setup");
   let second = expect_ok (sync_call server line) in
   Alcotest.(check (option string)) "second setup from memory" (Some "hit-mem")
-    (Option.bind (Jsonx.member "cache_setup" second) Jsonx.as_str);
+    (Option.bind (Util.Jsonx.member "cache_setup" second) Util.Jsonx.as_str);
   Alcotest.(check (option string)) "second models from memory" (Some "hit-mem")
-    (Option.bind (Jsonx.member "cache_models" second) Jsonx.as_str)
+    (Option.bind (Util.Jsonx.member "cache_models" second) Util.Jsonx.as_str)
 
 let test_server_typed_errors () =
   with_server @@ fun server ->
@@ -393,9 +395,9 @@ let test_protocol_unknown_param_key () =
   in
   let v = reply_json encoded in
   Alcotest.(check (option string)) "encoded field" (Some "bogus")
-    (Option.bind (Option.bind (Jsonx.member "error" v) (Jsonx.member "field")) Jsonx.as_str);
+    Util.Jsonx.(Option.bind (Option.bind (member "error" v) (member "field")) as_str);
   Alcotest.(check (option string)) "encoded req_id" (Some "cli-9")
-    (Option.bind (Jsonx.member "req_id" v) Jsonx.as_str);
+    (Option.bind (Util.Jsonx.member "req_id" v) Util.Jsonx.as_str);
   (* nested objects are validated too: circuit and edit *)
   ignore
     (check_reject
@@ -439,7 +441,7 @@ let test_server_retime_end_to_end () =
   @@ fun () ->
   let config = { test_config with Server.store_dir = Some store_dir } in
   with_server ~config @@ fun server ->
-  let int_of payload k = Option.bind (Jsonx.member k payload) Jsonx.as_int in
+  let int_of payload k = Option.bind (Util.Jsonx.member k payload) Util.Jsonx.as_int in
   (* cold: every block extracted *)
   let cold = expect_ok (sync_call server (retime_line ~id:1 ())) in
   let nb = Option.get (int_of cold "n_blocks") in
@@ -453,8 +455,8 @@ let test_server_retime_end_to_end () =
   Alcotest.(check (option int)) "warm recomputed" (Some 0)
     (int_of warm "blocks_recomputed");
   Alcotest.(check (option float_exact)) "bit-identical worst_mean"
-    (Option.bind (Jsonx.member "worst_mean" cold) Jsonx.as_num)
-    (Option.bind (Jsonx.member "worst_mean" warm) Jsonx.as_num);
+    (Option.bind (Util.Jsonx.member "worst_mean" cold) Util.Jsonx.as_num)
+    (Option.bind (Util.Jsonx.member "worst_mean" warm) Util.Jsonx.as_num);
   (* one-gate edit (x = NAND -> NOR, same pin capacitance): exactly the
      dirty block re-extracts *)
   let edited = expect_ok (sync_call server (retime_line ~id:3 ~edit:(2, "nor2") ())) in
@@ -483,7 +485,7 @@ let test_server_overload_backpressure () =
     Mutex.protect m (fun () ->
         (* the first request's reply holds the only worker until the whole
            burst is submitted, so queue admission alone decides the rest *)
-        if Option.bind (Jsonx.member "id" (reply_json r)) Jsonx.as_num = Some 1.0 then
+        if Option.bind (Util.Jsonx.member "id" (reply_json r)) Util.Jsonx.as_num = Some 1.0 then
           while not !burst_done do
             Condition.wait c m
           done;
@@ -506,8 +508,8 @@ let test_server_overload_backpressure () =
     List.length
       (List.filter
          (fun r ->
-           match Option.bind (Jsonx.member "error" (reply_json r)) (Jsonx.member "code") with
-           | Some (Jsonx.Str "overloaded") -> true
+           match Util.Jsonx.(Option.bind (member "error" (reply_json r)) (member "code")) with
+           | Some (Util.Jsonx.Str "overloaded") -> true
            | _ -> false)
          !replies)
   in
@@ -546,7 +548,7 @@ let test_server_deadline_exceeded () =
       done);
   let deadline_reply =
     List.find
-      (fun r -> Protocol.response_id r = Some (Jsonx.Num 2.0))
+      (fun r -> Protocol.response_id r = Some (Util.Jsonx.Num 2.0))
       !replies
   in
   ignore (expect_error deadline_reply Protocol.Deadline_exceeded)
@@ -555,7 +557,7 @@ let test_server_shutdown_drains () =
   let server = Server.create test_config in
   let ok = expect_ok (sync_call server {|{"id":1,"method":"shutdown"}|}) in
   Alcotest.(check (option bool)) "shutdown acknowledged" (Some true)
-    (Option.bind (Jsonx.member "shutting_down" ok) Jsonx.as_bool);
+    (Option.bind (Util.Jsonx.member "shutting_down" ok) Util.Jsonx.as_bool);
   Alcotest.(check bool) "shutdown flagged" true (Server.shutdown_requested server);
   (* the worker closes intake just after delivering the shutdown reply; a
      request racing that window may still be accepted (and completes under
@@ -564,8 +566,8 @@ let test_server_shutdown_drains () =
     if tries = 0 then Alcotest.fail "intake never closed after shutdown"
     else
       let reply = sync_call server {|{"id":2,"method":"stats"}|} in
-      match Option.bind (Jsonx.member "error" (reply_json reply)) (Jsonx.member "code") with
-      | Some (Jsonx.Str code) ->
+      match Util.Jsonx.(Option.bind (member "error" (reply_json reply)) (member "code")) with
+      | Some (Util.Jsonx.Str code) ->
           Alcotest.(check string) "error code"
             (Protocol.error_code_name Protocol.Shutting_down) code
       | _ ->
@@ -581,14 +583,14 @@ let test_server_stats_payload () =
   with_server @@ fun server ->
   ignore (expect_ok (sync_call server (run_mc_line ())));
   let stats = expect_ok (sync_call server {|{"id":5,"method":"stats"}|}) in
-  let int_field f = Option.bind (Jsonx.member f stats) Jsonx.as_int in
+  let int_field f = Option.bind (Util.Jsonx.member f stats) Util.Jsonx.as_int in
   (match int_field "requests" with
   | Some n when n >= 1 -> ()
   | _ -> Alcotest.fail "requests counter");
   Alcotest.(check (option int)) "no rejects" (Some 0) (int_field "rejected");
-  Alcotest.(check bool) "lru stats present" true (Jsonx.member "lru" stats <> None);
+  Alcotest.(check bool) "lru stats present" true (Util.Jsonx.member "lru" stats <> None);
   Alcotest.(check bool) "store absent without dir" true
-    (match Jsonx.member "store" stats with Some Jsonx.Null | None -> true | _ -> false)
+    (match Util.Jsonx.member "store" stats with Some Util.Jsonx.Null | None -> true | _ -> false)
 
 (* single-flight: workers racing the same cold key must compute it once.
    Four concurrent prepares of one circuit leave exactly two misses in the
@@ -618,42 +620,7 @@ let test_server_single_flight () =
   List.iter (fun r -> ignore (expect_ok r)) !replies;
   let stats = expect_ok (sync_call server {|{"id":2,"method":"stats"}|}) in
   Alcotest.(check (option int)) "one compute per key" (Some 2)
-    (Option.bind (Jsonx.member "cache_misses" stats) Jsonx.as_int)
-
-(* hierarchical mode: the cluster-tree + ACA factors are a cached artifact
-   of their own, keyed by kernel + mesh + build params but NOT by the model
-   truncation r — so re-preparing with a different r re-runs only the
-   eigensolve, never the compression.  Miss arithmetic: the first prepare
-   pays setup + model + factors (3), the second only a model (4 total). *)
-let test_server_hierarchical_factor_reuse () =
-  let config =
-    {
-      test_config with
-      Server.kle =
-        {
-          test_config.Server.kle with
-          Ssta.Algorithm2.mode = Kle.Galerkin.Hierarchical;
-          Ssta.Algorithm2.computed_pairs = 12;
-        };
-    }
-  in
-  with_server ~config @@ fun server ->
-  let prep id r =
-    Printf.sprintf
-      {|{"id":%d,"method":"prepare","params":{"circuit":{"bench":"%s"},"r":%d}}|}
-      id (escape_bench tiny_bench) r
-  in
-  ignore (expect_ok (sync_call server (prep 1 4)));
-  let misses () =
-    Option.bind
-      (Jsonx.member "cache_misses" (expect_ok (sync_call server {|{"id":9,"method":"stats"}|})))
-      Jsonx.as_int
-  in
-  Alcotest.(check (option int)) "cold prepare: setup + model + factors" (Some 3)
-    (misses ());
-  ignore (expect_ok (sync_call server (prep 2 5)));
-  Alcotest.(check (option int)) "new truncation recomputes only the model" (Some 4)
-    (misses ())
+    (Option.bind (Util.Jsonx.member "cache_misses" stats) Util.Jsonx.as_int)
 
 (* a reply that raises (client disconnected mid-write) must not take down
    the worker domain: with a single worker, the next request only gets an
@@ -676,7 +643,7 @@ let test_server_reply_failure_survives () =
   Alcotest.(check bool) "dropped reply recorded" true
     (Util.Diag.count ~code:`Degraded_fallback (Server.diagnostics server) >= 1);
   (* the drop is a first-class stat, not only a diagnostic *)
-  match Option.bind (Jsonx.member "replies_dropped" stats) Jsonx.as_int with
+  match Option.bind (Util.Jsonx.member "replies_dropped" stats) Util.Jsonx.as_int with
   | Some n when n >= 1 -> ()
   | v ->
       Alcotest.failf "replies_dropped: %s"
@@ -687,11 +654,11 @@ let test_server_reply_failure_survives () =
 let test_server_health_payload () =
   with_server @@ fun server ->
   let h = expect_ok (sync_call server {|{"id":1,"method":"health"}|}) in
-  let int_field f = Option.bind (Jsonx.member f h) Jsonx.as_int in
+  let int_field f = Option.bind (Util.Jsonx.member f h) Util.Jsonx.as_int in
   Alcotest.(check (option bool)) "healthy" (Some true)
-    (Option.bind (Jsonx.member "healthy" h) Jsonx.as_bool);
+    (Option.bind (Util.Jsonx.member "healthy" h) Util.Jsonx.as_bool);
   Alcotest.(check (option bool)) "not draining" (Some false)
-    (Option.bind (Jsonx.member "draining" h) Jsonx.as_bool);
+    (Option.bind (Util.Jsonx.member "draining" h) Util.Jsonx.as_bool);
   Alcotest.(check (option int)) "workers" (Some test_config.Server.workers)
     (int_field "workers");
   Alcotest.(check (option int)) "no restarts" (Some 0) (int_field "worker_restarts");
@@ -700,7 +667,7 @@ let test_server_health_payload () =
   (* the probe itself occupies one worker while it is being answered *)
   Alcotest.(check (option int)) "busy = this request" (Some 1) (int_field "workers_busy");
   Alcotest.(check (option string)) "no store configured" (Some "none")
-    (Option.bind (Jsonx.member "store" h) Jsonx.as_str)
+    (Option.bind (Util.Jsonx.member "store" h) Util.Jsonx.as_str)
 
 (* a crashed worker restarts and the in-flight request is retried once:
    the client still sees a plain ok *)
@@ -718,7 +685,7 @@ let test_server_worker_restart_retries () =
   Alcotest.(check int) "no quarantine" 0 (Server.quarantined server);
   let h = expect_ok (sync_call server {|{"id":2,"method":"health"}|}) in
   Alcotest.(check (option int)) "health reports the restart" (Some 1)
-    (Option.bind (Jsonx.member "worker_restarts" h) Jsonx.as_int)
+    (Option.bind (Util.Jsonx.member "worker_restarts" h) Util.Jsonx.as_int)
 
 (* a poison request that kills a second worker is quarantined with a typed
    internal_error instead of crash-looping the pool *)
@@ -802,19 +769,19 @@ let test_server_drain_timeout () =
    arbitrary high bytes — pass through unescaped and round-trip *)
 let test_jsonx_control_and_bytes () =
   let ctl = String.init 0x20 Char.chr in
-  let out = Jsonx.to_string (Jsonx.Str ctl) in
+  let out = Util.Jsonx.to_string (Util.Jsonx.Str ctl) in
   Alcotest.(check bool) "no raw control byte in the output" true
     (String.for_all (fun ch -> Char.code ch >= 0x20) out);
   Alcotest.(check bool) "uses \\u escapes" true (contains ~sub:{|\u0000|} out);
   Alcotest.(check (option string)) "control chars roundtrip" (Some ctl)
-    (Jsonx.as_str (parse_ok out));
+    (Util.Jsonx.as_str (parse_ok out));
   List.iter
     (fun s ->
-      let printed = Jsonx.to_string (Jsonx.Str s) in
+      let printed = Util.Jsonx.to_string (Util.Jsonx.Str s) in
       Alcotest.(check bool) ("raw passthrough: " ^ String.escaped s) true
         (contains ~sub:s printed);
       Alcotest.(check (option string)) ("roundtrip: " ^ String.escaped s) (Some s)
-        (Jsonx.as_str (parse_ok printed)))
+        (Util.Jsonx.as_str (parse_ok printed)))
     [ "\xe2\x82\xac euro"; "caf\xc3\xa9"; "\xf0\x9d\x84\x9e"; "raw \xff\x80 bytes" ]
 
 (* ---------- binary wire ---------- *)
@@ -903,19 +870,20 @@ let test_wire_jsonx_codec () =
     Wire.encode_jsonx w v;
     let rd = Codec.reader (Codec.contents w) in
     let back = Wire.decode_jsonx rd in
-    Alcotest.(check string) "codec roundtrip" (Jsonx.to_string v) (Jsonx.to_string back)
+    Alcotest.(check string) "codec roundtrip" (Util.Jsonx.to_string v) (Util.Jsonx.to_string back)
   in
   List.iter roundtrip
-    [
-      Jsonx.Null; Jsonx.Bool true; Jsonx.Bool false; Jsonx.Num 0.0; Jsonx.Num (-1.5);
-      Jsonx.Num 1e300; Jsonx.Str ""; Jsonx.Str "caf\xc3\xa9 \n\000"; Jsonx.List [];
-      Jsonx.List [ Jsonx.Num 1.0; Jsonx.Num 2.5; Jsonx.Num (-3.0) ];
-      Jsonx.List [ Jsonx.Num 1.0; Jsonx.Str "mixed" ]; Jsonx.Obj [];
-      Jsonx.Obj [ ("a", Jsonx.Num 1.0); ("b", Jsonx.List [ Jsonx.Bool false; Jsonx.Null ]) ];
-    ];
+    Util.Jsonx.
+      [
+        Null; Bool true; Bool false; Num 0.0; Num (-1.5);
+        Num 1e300; Str ""; Str "caf\xc3\xa9 \n\000"; List [];
+        List [ Num 1.0; Num 2.5; Num (-3.0) ];
+        List [ Num 1.0; Str "mixed" ]; Obj [];
+        Obj [ ("a", Num 1.0); ("b", List [ Bool false; Null ]) ];
+      ];
   (* the numeric-vector fast path actually packs: tag 7, ~8 bytes/element *)
   let w = Codec.writer () in
-  Wire.encode_jsonx w (Jsonx.List (List.init 100 (fun i -> Jsonx.Num (float_of_int i))));
+  Wire.encode_jsonx w (Util.Jsonx.List (List.init 100 (fun i -> Util.Jsonx.Num (float_of_int i))));
   let bytes = Codec.contents w in
   Alcotest.(check int) "packed float-array tag" 7 (Char.code bytes.[0]);
   Alcotest.(check bool) "packed, not per-element tagged" true
@@ -926,7 +894,7 @@ let test_wire_jsonx_adversarial () =
     let rd = Codec.reader bytes in
     match Wire.decode_jsonx rd with
     | exception Codec.Error _ -> ()
-    | v -> Alcotest.failf "%s accepted as %s" what (Jsonx.to_string v)
+    | v -> Alcotest.failf "%s accepted as %s" what (Util.Jsonx.to_string v)
   in
   (* hostile collection counts with no bytes behind them: rejected before
      any allocation proportional to the claim *)
@@ -952,16 +920,16 @@ let test_wire_jsonx_adversarial () =
 
 let wire_requests =
   [
-    { Protocol.id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats };
-    { Protocol.id = Jsonx.Num 2.0; req_id = None; deadline_ms = None; call = Protocol.Health };
+    { Protocol.id = Util.Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats };
+    { Protocol.id = Util.Jsonx.Num 2.0; req_id = None; deadline_ms = None; call = Protocol.Health };
     {
-      Protocol.id = Jsonx.Str "s";
+      Protocol.id = Util.Jsonx.Str "s";
       req_id = Some "cli-2a-7";
       deadline_ms = None;
       call = Protocol.Shutdown;
     };
     {
-      Protocol.id = Jsonx.Str "x";
+      Protocol.id = Util.Jsonx.Str "x";
       req_id = Some "chaos-42";
       deadline_ms = Some 250.0;
       call =
@@ -970,19 +938,19 @@ let wire_requests =
             seed = 7; n = 100; batch = Some 64; full = true };
     };
     {
-      Protocol.id = Jsonx.Null;
+      Protocol.id = Util.Jsonx.Null;
       req_id = None;
       deadline_ms = None;
       call = Protocol.Prepare { circuit = Protocol.Bench_text tiny_bench; r = None };
     };
     {
-      Protocol.id = Jsonx.List [ Jsonx.Num 1.0; Jsonx.Str "b" ];
+      Protocol.id = Util.Jsonx.List [ Util.Jsonx.Num 1.0; Util.Jsonx.Str "b" ];
       req_id = None;
       deadline_ms = None;
       call = Protocol.Compare { circuit = Protocol.Named "c432"; r = Some 3; seed = -2; n = 9 };
     };
     {
-      Protocol.id = Jsonx.Num 7.0;
+      Protocol.id = Util.Jsonx.Num 7.0;
       req_id = Some "edit-1";
       deadline_ms = None;
       call =
@@ -991,7 +959,7 @@ let wire_requests =
             edit = Some { Protocol.gate = 5; kind = "nor2" } };
     };
     {
-      Protocol.id = Jsonx.Num 8.0;
+      Protocol.id = Util.Jsonx.Num 8.0;
       req_id = None;
       deadline_ms = None;
       call =
@@ -1032,7 +1000,7 @@ let test_wire_request_adversarial () =
     | Error rej -> Protocol.error_code_name rej.Protocol.code
   in
   let stats_req =
-    { Protocol.id = Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats }
+    { Protocol.id = Util.Jsonx.Num 1.0; req_id = None; deadline_ms = None; call = Protocol.Stats }
   in
   let stats = payload_of stats_req in
   (* unknown method tag (the method tag is the last payload byte) *)
@@ -1053,7 +1021,7 @@ let test_wire_request_adversarial () =
   (* params are validated on the binary wire too *)
   let run_mc n =
     {
-      Protocol.id = Jsonx.Num 1.0;
+      Protocol.id = Util.Jsonx.Num 1.0;
       req_id = None;
       deadline_ms = None;
       call =
@@ -1068,35 +1036,35 @@ let test_wire_request_adversarial () =
 
 let test_wire_response_roundtrip () =
   let payload =
-    Jsonx.Obj
+    Util.Jsonx.Obj
       [
-        ("worst_mean", Jsonx.Num 1.5);
-        ("endpoint_mean", Jsonx.List [ Jsonx.Num 0.25; Jsonx.Num 2.0 ]);
+        ("worst_mean", Util.Jsonx.Num 1.5);
+        ("endpoint_mean", Util.Jsonx.List [ Util.Jsonx.Num 0.25; Util.Jsonx.Num 2.0 ]);
       ]
   in
-  (match Wire.unframe (Wire.ok_response ~id:(Jsonx.Num 3.0) payload) with
+  (match Wire.unframe (Wire.ok_response ~id:(Util.Jsonx.Num 3.0) payload) with
   | Ok p -> (
       match Wire.decode_response p with
-      | Ok (Jsonx.Num 3.0, None, Ok back) ->
-          Alcotest.(check string) "ok payload" (Jsonx.to_string payload)
-            (Jsonx.to_string back)
+      | Ok (Util.Jsonx.Num 3.0, None, Ok back) ->
+          Alcotest.(check string) "ok payload" (Util.Jsonx.to_string payload)
+            (Util.Jsonx.to_string back)
       | _ -> Alcotest.fail "ok response decode")
   | Error _ -> Alcotest.fail "ok response unframe");
   (match
      Wire.unframe
-       (Wire.ok_response ~id:(Jsonx.Num 4.0) ~req_id:"cli-1-2" payload)
+       (Wire.ok_response ~id:(Util.Jsonx.Num 4.0) ~req_id:"cli-1-2" payload)
    with
   | Ok p -> (
       match Wire.decode_response p with
-      | Ok (Jsonx.Num 4.0, Some "cli-1-2", Ok _) -> ()
+      | Ok (Util.Jsonx.Num 4.0, Some "cli-1-2", Ok _) -> ()
       | _ -> Alcotest.fail "ok response with req_id decode")
   | Error _ -> Alcotest.fail "ok response with req_id unframe");
   (match
-     Wire.unframe (Wire.error_response ~id:(Jsonx.Str "a") Protocol.Overloaded "queue full")
+     Wire.unframe (Wire.error_response ~id:(Util.Jsonx.Str "a") Protocol.Overloaded "queue full")
    with
   | Ok p -> (
       match Wire.decode_response p with
-      | Ok (Jsonx.Str "a", None, Error (Protocol.Overloaded, "queue full")) -> ()
+      | Ok (Util.Jsonx.Str "a", None, Error (Protocol.Overloaded, "queue full")) -> ()
       | _ -> Alcotest.fail "error response decode")
   | Error _ -> Alcotest.fail "error response unframe");
   match Wire.decode_response "\xee" with
@@ -1107,7 +1075,7 @@ let test_wire_response_roundtrip () =
 
 let mc_request ?(id = 1.0) ?req_id ?(seed = 3) ?(n = 24) ?(full = false) () =
   {
-    Protocol.id = Jsonx.Num id;
+    Protocol.id = Util.Jsonx.Num id;
     req_id;
     deadline_ms = None;
     call =
@@ -1120,12 +1088,12 @@ let mc_request ?(id = 1.0) ?req_id ?(seed = 3) ?(n = 24) ?(full = false) () =
    timing fields vary run to run; the numbers must not) *)
 let mc_stat_bits payload =
   let bits name =
-    Option.map Int64.bits_of_float (Option.bind (Jsonx.member name payload) Jsonx.as_num)
+    Option.map Int64.bits_of_float (Option.bind (Util.Jsonx.member name payload) Util.Jsonx.as_num)
   in
   let vec name =
-    match Jsonx.member name payload with
-    | Some (Jsonx.List l) ->
-        List.map (function Jsonx.Num v -> Int64.bits_of_float v | _ -> Int64.minus_one) l
+    match Util.Jsonx.member name payload with
+    | Some (Util.Jsonx.List l) ->
+        List.map (function Util.Jsonx.Num v -> Int64.bits_of_float v | _ -> Int64.minus_one) l
     | _ -> []
   in
   (bits "worst_mean", bits "worst_sigma", vec "endpoint_mean", vec "endpoint_sigma")
@@ -1161,7 +1129,7 @@ let test_wire_cross_identity () =
   let request = mc_request ~full:true () in
   let json_payload = expect_ok (sync_call server (Protocol.encode_request request)) in
   let id, result = sync_call_binary server request in
-  Alcotest.(check bool) "id echoed" true (id = Jsonx.Num 1.0);
+  Alcotest.(check bool) "id echoed" true (id = Util.Jsonx.Num 1.0);
   let binary_payload =
     match result with
     | Ok p -> p
@@ -1177,7 +1145,7 @@ let test_wire_cross_identity () =
   let _, err =
     sync_call_binary server
       {
-        Protocol.id = Jsonx.Num 9.0;
+        Protocol.id = Util.Jsonx.Num 9.0;
         req_id = None;
         deadline_ms = None;
         call =
@@ -1207,7 +1175,7 @@ let sync_router_call router line =
       Option.get !slot)
 
 let test_router_routing_key () =
-  let req call = { Protocol.id = Jsonx.Null; req_id = None; deadline_ms = None; call } in
+  let req call = { Protocol.id = Util.Jsonx.Null; req_id = None; deadline_ms = None; call } in
   let run_mc r =
     req
       (Protocol.Run_mc
@@ -1268,20 +1236,20 @@ let test_router_cross_shard_identity () =
   (* health and stats aggregate every shard plus router counters *)
   let health = expect_ok (sync_router_call router {|{"id":0,"method":"health"}|}) in
   Alcotest.(check (option bool)) "healthy" (Some true)
-    (Option.bind (Jsonx.member "healthy" health) Jsonx.as_bool);
+    (Option.bind (Util.Jsonx.member "healthy" health) Util.Jsonx.as_bool);
   Alcotest.(check (option int)) "shards" (Some 2)
-    (Option.bind (Jsonx.member "shards" health) Jsonx.as_int);
-  (match Jsonx.member "shard_health" health with
-  | Some (Jsonx.List [ _; _ ]) -> ()
+    (Option.bind (Util.Jsonx.member "shards" health) Util.Jsonx.as_int);
+  (match Util.Jsonx.member "shard_health" health with
+  | Some (Util.Jsonx.List [ _; _ ]) -> ()
   | _ -> Alcotest.fail "expected a per-shard health list");
   let stats = expect_ok (sync_router_call router {|{"id":0,"method":"stats"}|}) in
-  (match Option.bind (Jsonx.member "router" stats) (Jsonx.member "forwarded") with
-  | Some (Jsonx.Num f) when f >= 1.0 -> ()
+  (match Option.bind (Util.Jsonx.member "router" stats) (Util.Jsonx.member "forwarded") with
+  | Some (Util.Jsonx.Num f) when f >= 1.0 -> ()
   | _ -> Alcotest.fail "router counters missing from stats");
   (* shutdown broadcasts to every shard and drains the router *)
   let bye = expect_ok (sync_router_call router {|{"id":0,"method":"shutdown"}|}) in
   Alcotest.(check (option bool)) "shutting down" (Some true)
-    (Option.bind (Jsonx.member "shutting_down" bye) Jsonx.as_bool);
+    (Option.bind (Util.Jsonx.member "shutting_down" bye) Util.Jsonx.as_bool);
   Alcotest.(check bool) "router drains" true (Router.shutdown_requested router);
   ignore (expect_error (sync_router_call router line) Protocol.Shutting_down);
   Alcotest.(check bool) "shards saw the shutdown" true
@@ -1297,7 +1265,7 @@ let test_router_shed_and_failover () =
     {
       Router.send =
         (fun _request ~reply ->
-          reply (Ok (Jsonx.Obj [ ("served_by", Jsonx.Num (float_of_int i)) ])));
+          reply (Ok (Util.Jsonx.Obj [ ("served_by", Util.Jsonx.Num (float_of_int i)) ])));
       healthy = (fun () -> not down.(i));
       describe = Printf.sprintf "shard-%d" i;
     }
@@ -1307,7 +1275,7 @@ let test_router_shed_and_failover () =
   down.(owner) <- true;
   let payload = expect_ok (sync_router_call router line) in
   Alcotest.(check (option int)) "replica served" (Some (1 - owner))
-    (Option.bind (Jsonx.member "served_by" payload) Jsonx.as_int);
+    (Option.bind (Util.Jsonx.member "served_by" payload) Util.Jsonx.as_int);
   Alcotest.(check bool) "retry counted" true ((Router.stats router).Router.retried >= 1);
   (* both replicas down: a typed internal error, never a hang *)
   down.(0) <- true;
@@ -1332,7 +1300,7 @@ let test_router_shed_and_failover () =
   let router2 = Router.create [ backend2 0; backend2 1 ] in
   let payload2 = expect_ok (sync_router_call router2 line) in
   Alcotest.(check (option int)) "failover after raise" (Some (1 - owner))
-    (Option.bind (Jsonx.member "served_by" payload2) Jsonx.as_int);
+    (Option.bind (Util.Jsonx.member "served_by" payload2) Util.Jsonx.as_int);
   Alcotest.(check bool) "raise recorded" true
     ((Router.stats router2).Router.shard_errors >= 1 && !raised = 1);
   (* shed, not spread: the owner at capacity answers overloaded immediately
@@ -1357,7 +1325,7 @@ let test_router_shed_and_failover () =
   Alcotest.(check bool) "shed counted" true ((Router.stats router3).Router.shed >= 1);
   (* releasing the parked request completes the first call normally *)
   (match !parked with
-  | [ release ] -> release (Ok (Jsonx.Obj [ ("served_by", Jsonx.Num (float_of_int owner)) ]))
+  | [ release ] -> release (Ok Util.Jsonx.(Obj [ ("served_by", Num (float_of_int owner)) ]))
   | _ -> Alcotest.fail "expected exactly one parked request");
   match !first with
   | Some reply_line -> ignore (expect_ok reply_line)
@@ -1515,7 +1483,7 @@ let test_server_req_id_echo_json () =
   Alcotest.(check int) "echoed exactly once" 1
     (count_substring ~needle:{|"req_id"|} reply);
   Alcotest.(check (option string)) "echoed verbatim" (Some "cli-aa-1")
-    (Option.bind (Jsonx.member "req_id" (reply_json reply)) Jsonx.as_str);
+    (Option.bind (Util.Jsonx.member "req_id" (reply_json reply)) Util.Jsonx.as_str);
   (* no req_id in, none out: server-minted IDs are telemetry-only *)
   let reply = sync_call server {|{"id":2,"method":"stats"}|} in
   Alcotest.(check int) "no echo without req_id" 0
@@ -1523,7 +1491,7 @@ let test_server_req_id_echo_json () =
   (* error replies echo too *)
   let reply = sync_call server {|{"id":3,"req_id":"cli-aa-3","method":"warp"}|} in
   Alcotest.(check (option string)) "echo on error" (Some "cli-aa-3")
-    (Option.bind (Jsonx.member "req_id" (reply_json reply)) Jsonx.as_str)
+    (Option.bind (Util.Jsonx.member "req_id" (reply_json reply)) Util.Jsonx.as_str)
 
 let sync_call_binary_full server request =
   let payload =
@@ -1567,9 +1535,9 @@ let test_wire_v1_compat () =
   (* writers emit the base version when there is no req_id to carry, so
      replies to old clients are byte-compatible; the trailing section only
      appears (as version 2) when a correlation ID is present *)
-  let v1 = Wire.ok_response ~id:(Jsonx.Num 1.0) (Jsonx.Obj []) in
+  let v1 = Wire.ok_response ~id:(Util.Jsonx.Num 1.0) (Util.Jsonx.Obj []) in
   Alcotest.(check char) "v1 when no req_id" '\x01' v1.[2];
-  let v2 = Wire.ok_response ~id:(Jsonx.Num 1.0) ~req_id:"x" (Jsonx.Obj []) in
+  let v2 = Wire.ok_response ~id:(Util.Jsonx.Num 1.0) ~req_id:"x" (Util.Jsonx.Obj []) in
   Alcotest.(check char) "v2 with req_id" '\x02' v2.[2];
   (match Wire.unframe v1 with
   | Ok p -> (
@@ -1603,8 +1571,8 @@ let test_client_generates_req_id () =
   match !sent with
   | [ line ] -> (
       match
-        Option.bind (Result.to_option (Jsonx.parse line)) (fun v ->
-            Option.bind (Jsonx.member "req_id" v) Jsonx.as_str)
+        Option.bind (Result.to_option (Util.Jsonx.parse line)) (fun v ->
+            Option.bind (Util.Jsonx.member "req_id" v) Util.Jsonx.as_str)
       with
       | Some rid ->
           Alcotest.(check bool)
@@ -1622,17 +1590,17 @@ let test_server_metrics_method () =
   let mp = expect_ok (sync_call server {|{"id":2,"method":"metrics"}|}) in
   List.iter
     (fun field ->
-      Alcotest.(check bool) (field ^ " present") true (Jsonx.member field mp <> None))
+      Alcotest.(check bool) (field ^ " present") true (Util.Jsonx.member field mp <> None))
     [ "counters"; "stages"; "histograms"; "prometheus" ];
   (match
-     Option.bind (Option.bind (Jsonx.member "counters" mp) (Jsonx.member "requests"))
-       Jsonx.as_int
+     Option.bind (Option.bind (Util.Jsonx.member "counters" mp) (Util.Jsonx.member "requests"))
+       Util.Jsonx.as_int
    with
   | Some n when n >= 1 -> ()
   | _ -> Alcotest.fail "requests counter missing or zero");
-  let total = Option.bind (Jsonx.member "stages" mp) (Jsonx.member "total") in
+  let total = Option.bind (Util.Jsonx.member "stages" mp) (Util.Jsonx.member "total") in
   let q name =
-    match Option.bind (Option.bind total (Jsonx.member name)) Jsonx.as_num with
+    match Option.bind (Option.bind total (Util.Jsonx.member name)) Util.Jsonx.as_num with
     | Some v -> v
     | None -> Alcotest.failf "stages.total.%s missing" name
   in
@@ -1640,7 +1608,7 @@ let test_server_metrics_method () =
   Alcotest.(check bool) "p50 <= p99" true (q "p50_ms" <= q "p99_ms");
   Alcotest.(check bool) "p99 <= p999" true (q "p99_ms" <= q "p999_ms");
   let prom =
-    match Option.bind (Jsonx.member "prometheus" mp) Jsonx.as_str with
+    match Option.bind (Util.Jsonx.member "prometheus" mp) Util.Jsonx.as_str with
     | Some s -> s
     | None -> Alcotest.fail "prometheus text missing"
   in
@@ -1661,24 +1629,24 @@ let test_server_debug_ring () =
   await "ring admission" (fun () ->
       match
         Option.bind
-          (Jsonx.member "slow_requests"
+          (Util.Jsonx.member "slow_requests"
              (expect_ok (sync_call server {|{"id":2,"method":"debug"}|})))
-          (function Jsonx.List l -> Some l | _ -> None)
+          (function Util.Jsonx.List l -> Some l | _ -> None)
       with
       | Some (_ :: _) -> true
       | _ -> false);
   let dp = expect_ok (sync_call server {|{"id":3,"method":"debug"}|}) in
   let entries =
-    match Jsonx.member "slow_requests" dp with
-    | Some (Jsonx.List l) -> l
+    match Util.Jsonx.member "slow_requests" dp with
+    | Some (Util.Jsonx.List l) -> l
     | _ -> Alcotest.fail "slow_requests missing"
   in
   let has_dd1 =
     List.exists
       (fun e ->
-        Option.bind (Jsonx.member "req_id" e) Jsonx.as_str = Some "cli-dd-1"
-        && Option.bind (Jsonx.member "stages_ms" e) (Jsonx.member "compute") <> None
-        && Option.bind (Jsonx.member "stages_ms" e) (Jsonx.member "queue_wait") <> None)
+        Option.bind (Util.Jsonx.member "req_id" e) Util.Jsonx.as_str = Some "cli-dd-1"
+        && Option.bind (Util.Jsonx.member "stages_ms" e) (Util.Jsonx.member "compute") <> None
+        && Option.bind (Util.Jsonx.member "stages_ms" e) (Util.Jsonx.member "queue_wait") <> None)
       entries
   in
   Alcotest.(check bool) "entry carries req_id + per-stage breakdown" true has_dd1
@@ -1698,9 +1666,9 @@ let test_server_json_request_log () =
       Mutex.protect lock (fun () ->
           List.exists
             (fun j ->
-              Option.bind (Jsonx.member "req_id" j) Jsonx.as_str = Some "cli-log-1"
-              && Jsonx.member "total_ms" j <> None
-              && Option.bind (Jsonx.member "ok" j) Jsonx.as_bool = Some true)
+              Option.bind (Util.Jsonx.member "req_id" j) Util.Jsonx.as_str = Some "cli-log-1"
+              && Util.Jsonx.member "total_ms" j <> None
+              && Option.bind (Util.Jsonx.member "ok" j) Util.Jsonx.as_bool = Some true)
             !logs))
 
 let test_server_batch_wait_recorded () =
@@ -1744,21 +1712,21 @@ let test_router_merged_metrics () =
       >= 2);
   let mp = expect_ok (sync_router_call router {|{"id":9,"method":"metrics"}|}) in
   Alcotest.(check (option int)) "both shards reporting" (Some 2)
-    (Option.bind (Jsonx.member "shards_reporting" mp) Jsonx.as_int);
+    (Option.bind (Util.Jsonx.member "shards_reporting" mp) Util.Jsonx.as_int);
   let shard_requests server =
     (* every shard also counts the metrics fan-out request itself at submit
        time, so compare against live server counters scraped after *)
     match
       Option.bind
-        (Jsonx.member "requests" (expect_ok (sync_call server {|{"id":0,"method":"stats"}|})))
-        Jsonx.as_int
+        (Util.Jsonx.member "requests" (expect_ok (sync_call server {|{"id":0,"method":"stats"}|})))
+        Util.Jsonx.as_int
     with
     | Some n -> n
     | None -> Alcotest.fail "shard stats missing requests"
   in
-  (match Option.bind (Jsonx.member "counters" mp) (Jsonx.member "requests") with
+  (match Option.bind (Util.Jsonx.member "counters" mp) (Util.Jsonx.member "requests") with
   | Some v -> (
-      match Jsonx.as_int v with
+      match Util.Jsonx.as_int v with
       | Some merged ->
           Alcotest.(check bool)
             (Printf.sprintf "merged requests %d sums both shards" merged)
@@ -1769,9 +1737,9 @@ let test_router_merged_metrics () =
   (* the merged histogram holds both shards' samples *)
   match
     Option.bind
-      (Option.bind (Option.bind (Jsonx.member "stages" mp) (Jsonx.member "total"))
-         (Jsonx.member "count"))
-      Jsonx.as_int
+      (Option.bind (Option.bind (Util.Jsonx.member "stages" mp) (Util.Jsonx.member "total"))
+         (Util.Jsonx.member "count"))
+      Util.Jsonx.as_int
   with
   | Some n when n >= 2 -> ()
   | v ->
@@ -1842,8 +1810,6 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
           Alcotest.test_case "stats payload" `Quick test_server_stats_payload;
           Alcotest.test_case "single-flight dedup" `Quick test_server_single_flight;
-          Alcotest.test_case "hierarchical factor reuse" `Quick
-            test_server_hierarchical_factor_reuse;
           Alcotest.test_case "reply failure survives" `Quick
             test_server_reply_failure_survives;
         ] );
