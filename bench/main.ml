@@ -1156,8 +1156,9 @@ let micro () =
 
 (* ---------------------------------------------------------------- *)
 (* smoke: fast CI check of the domain-parallel paths — asserts that a tiny
-   Galerkin assembly and a small Monte Carlo run are bit-identical at -j 1
-   and -j 2, and prints their timings *)
+   Galerkin assembly, a flat-operator Lanczos solve and a small Monte Carlo
+   run are bit-identical at -j 1 and -j 2, that the Lanczos solve stops
+   early, and prints their timings *)
 
 let smoke () =
   header "Smoke: parallel paths bit-identical across -j (tiny fixtures)";
@@ -1184,6 +1185,34 @@ let smoke () =
   end;
   pf "galerkin assemble n=%d: -j 1 %.3fs, -j 2 %.3fs — bit-identical\n"
     (Geometry.Mesh.size mesh) dt1 dt2;
+  (* the paper's eigensolve path: Lanczos over the flat operator (n > 600).
+     Its panels are fixed, so the spectrum must not depend on -j, and the
+     convergence checks must stop it well under a 2·count Krylov dimension *)
+  let flat_mesh = Geometry.Mesh.uniform Geometry.Rect.unit_die ~divisions:13 in
+  let count = 50 in
+  let lanczos jobs =
+    Linalg.Lanczos.top_k_op ~op:(Kle.Operator.galerkin ~jobs flat_mesh kernel) ~k:count ()
+  in
+  let l1, ldt1 = Util.Timer.time (fun () -> lanczos 1) in
+  let l2, ldt2 = Util.Timer.time (fun () -> lanczos 2) in
+  let same_bits x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) x y
+  in
+  if not (same_bits l1.Linalg.Lanczos.eigenvalues l2.Linalg.Lanczos.eigenvalues) then begin
+    pf "FAIL: flat-operator Lanczos eigenvalues differ between -j 1 and -j 2\n";
+    exit 1
+  end;
+  let dim = l1.Linalg.Lanczos.iterations in
+  if dim >= 2 * count || l2.Linalg.Lanczos.iterations <> dim then begin
+    pf "FAIL: flat-operator Lanczos built a Krylov dimension of %d (-j 2: %d) for %d pairs; \
+        the convergence checks must stop it below %d\n"
+      dim l2.Linalg.Lanczos.iterations count (2 * count);
+    exit 1
+  end;
+  pf "flat-operator lanczos n=%d, %d pairs, Krylov dimension %d: -j 1 %.3fs, -j 2 %.3fs — \
+      bit-identical\n"
+    (Geometry.Mesh.size flat_mesh) count dim ldt1 ldt2;
   let netlist =
     Circuit.Generator.generate
       { Circuit.Generator.name = "smoke"; n_gates = 160; n_inputs = 12;
@@ -1213,11 +1242,11 @@ let smoke () =
     (Circuit.Netlist.logic_gate_count netlist) mdt1 mdt2;
   emit "smoke"
     ~stages:
-      [ ("assemble_j1", dt1); ("assemble_j2", dt2); ("run_mc_j1", mdt1);
-        ("run_mc_j2", mdt2) ]
+      [ ("assemble_j1", dt1); ("assemble_j2", dt2); ("lanczos_j1", ldt1);
+        ("lanczos_j2", ldt2); ("run_mc_j1", mdt1); ("run_mc_j2", mdt2) ]
     ~counters:(counters_since c0)
     ~mesh_n:(Geometry.Mesh.size mesh) ~samples:200
-    ~wall_s:(dt1 +. dt2 +. mdt1 +. mdt2);
+    ~wall_s:(dt1 +. dt2 +. ldt1 +. ldt2 +. mdt1 +. mdt2);
   pf "smoke OK\n"
 
 (* ---------------------------------------------------------------- *)

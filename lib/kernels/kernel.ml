@@ -101,7 +101,7 @@ type profile_table = {
 
 let profile_table_max_error tbl = tbl.max_error
 
-let profile_eval tbl v =
+let[@inline] profile_eval tbl v =
   let n = Array.length tbl.values in
   if v <= 0.0 then Array.unsafe_get tbl.values 0
   else if v >= tbl.vmax then Array.unsafe_get tbl.values (n - 1)

@@ -38,15 +38,12 @@ let domain_diameter mesh =
   let d = mesh.Mesh.domain in
   Float.hypot (Geometry.Rect.width d) (Geometry.Rect.height d)
 
-let check_finite ?diag ~stage n out =
-  let rec check i =
-    if i < n then
-      if Float.is_finite (Array.unsafe_get out i) then check (i + 1)
-      else
-        Util.Diag.fail ?sink:diag `Non_finite ~stage
-          (Printf.sprintf "apply produced a non-finite entry at row %d" i)
-  in
-  check 0
+let check_finite ?diag ~stage out =
+  match Linalg.Vec.find_non_finite out with
+  | None -> ()
+  | Some i ->
+      Util.Diag.fail ?sink:diag `Non_finite ~stage
+        (Printf.sprintf "apply produced a non-finite entry at row %d" i)
 
 (* The apply is tiled over a FIXED number of row panels — fixed so the work
    decomposition (and hence the floating-point result) depends only on [n],
@@ -111,7 +108,7 @@ let make_apply ~n ?jobs ?diag ?(evals_per_apply = 0) ~process_row () =
         Array.unsafe_set out i (Array.unsafe_get out i +. Array.unsafe_get yp i)
       done
     done;
-    check_finite ?diag ~stage:"kle.operator.apply" n out;
+    check_finite ?diag ~stage:"kle.operator.apply" out;
     out
 
 (* row processor over an arbitrary pair-value closure (exact evaluation,
@@ -238,7 +235,7 @@ let of_hmatrix ?diag h =
       apply =
         (fun x ->
           let y = Hmatrix.apply h x in
-          check_finite ?diag ~stage:"kle.operator.apply" n y;
+          check_finite ?diag ~stage:"kle.operator.apply" y;
           y);
       dim = n;
     }

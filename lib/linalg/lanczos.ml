@@ -38,9 +38,20 @@ let top_k ~matvec ~n ~k ?(tol = 1e-9) ?max_dim ?(seed = 7) () =
     ~attrs:[ ("n", string_of_int n); ("k", string_of_int k) ]
     "lanczos.top_k"
   @@ fun () ->
-  let matvec v =
+  (* a NaN/inf in the operator's output would poison the whole basis and
+     surface much later as a QL failure: name the step instead *)
+  let matvec step v =
     Util.Trace.incr Util.Trace.matvecs;
-    matvec v
+    let w = matvec v in
+    (match Vec.find_non_finite w with
+    | Some i ->
+        invalid_arg
+          (Printf.sprintf
+             "Lanczos.top_k: matvec returned a non-finite entry %g at index %d \
+              in step %d"
+             w.(i) i step)
+    | None -> ());
+    w
   in
   let max_dim =
     match max_dim with Some m -> min m n | None -> min n ((4 * k) + 80)
@@ -60,7 +71,7 @@ let top_k ~matvec ~n ~k ?(tol = 1e-9) ?max_dim ?(seed = 7) () =
     while !m < target do
       let j = !m in
       let q = basis.(j) in
-      let w = matvec q in
+      let w = matvec j q in
       if j > 0 then Vec.axpy (-.beta.(j)) basis.(j - 1) w;
       alpha.(j) <- Vec.dot q w;
       Vec.axpy (-.alpha.(j)) q w;
@@ -87,73 +98,83 @@ let top_k ~matvec ~n ~k ?(tol = 1e-9) ?max_dim ?(seed = 7) () =
       end
     done
   in
-  (* Ritz extraction at current dimension; returns (values desc, tridiagonal
-     eigenvector matrix, permutation, last beta) *)
-  let ritz () =
+  (* QL on the tridiagonal T of the current basis, accumulating into [zt]
+     (see {!Sym_eig.tridiag_ql_vectors}); returns the Ritz values in
+     descending order and their permutation into QL order *)
+  let ql zt =
     let dim = !m in
     let d = Array.sub alpha 0 dim in
     let e = Array.make dim 0.0 in
-    for i = 1 to dim - 1 do
-      e.(i) <- beta.(i)
-    done;
-    let z = Mat.identity dim in
-    let d = Sym_eig.tridiag_ql_vectors d e z in
-    let sorted, perm = Util.Arrayx.sort_desc_with_perm d in
-    (sorted, z, perm)
+    Array.blit beta 1 e 1 (dim - 1);
+    match Sym_eig.tridiag_ql_vectors d e zt with
+    | d -> Util.Arrayx.sort_desc_with_perm d
+    | exception Sym_eig.No_convergence _ ->
+        raise (No_convergence { converged = 0; wanted = k })
   in
-  let finished = ref None in
-  let grow_step = max 16 (k / 2) in
-  while !finished = None do
-    let target = min max_dim (max (!m + grow_step) (min max_dim (2 * k))) in
-    Util.Trace.with_span "lanczos.extend" (fun () -> extend target);
-    let sorted, z, perm = Util.Trace.with_span "lanczos.ritz" ritz in
+  (* convergence check: QL on a dim×1 accumulator started at e_dim gives
+     the Ritz values and the last entry of every eigenvector of T — all
+     that the classic residual bound |beta_dim * s_{dim,i}| needs — at
+     O(dim²), against O(dim³) for the full eigenvector matrix *)
+  let check () =
     let dim = !m in
+    let last = Mat.create dim 1 in
+    Mat.set last (dim - 1) 0 1.0;
+    let sorted, perm = ql last in
     let beta_last = if dim < max_dim then beta.(dim) else !last_beta in
-    let scale_ref = Float.max (Float.abs sorted.(0)) 1e-300 in
-    let kk = min k dim in
-    let residual i =
-      (* classic Lanczos residual bound: |beta_m * s_{m,i}| *)
-      Float.abs (beta_last *. Mat.get z (dim - 1) perm.(i))
+    let residuals =
+      Array.init (min k dim) (fun i ->
+          Float.abs (beta_last *. Mat.get last perm.(i) 0))
     in
-    let all_ok = ref (kk = k) in
-    for i = 0 to kk - 1 do
-      if residual i > tol *. scale_ref then all_ok := false
-    done;
-    if !all_ok || dim >= max_dim then begin
-      if not !all_ok then begin
+    (sorted, residuals)
+  in
+  (* the one full pass after acceptance: eigenvectors of T (the same values
+     and permutation as the check, bit for bit — the QL recurrences never
+     read the accumulator), then Ritz vectors y_i = Q * s_i *)
+  let vectors kk =
+    let dim = !m in
+    let zt = Mat.identity dim in
+    let sorted, perm = ql zt in
+    let vectors =
+      Array.init kk (fun i ->
+          let y = Array.make n 0.0 in
+          for j = 0 to dim - 1 do
+            let s = Mat.unsafe_get zt perm.(i) j in
+            if s <> 0.0 then Vec.axpy s basis.(j) y
+          done;
+          y)
+    in
+    (Array.sub sorted 0 kk, vectors)
+  in
+  (* check from dimension k + step, then every step: a fixed fraction of k,
+     so the check count stays small and the overshoot past convergence
+     stays under step matvecs *)
+  let step = max 16 (k / 10) in
+  let finished = ref None in
+  while !finished = None do
+    let target = min max_dim (max (k + step) (!m + step)) in
+    Util.Trace.with_span "lanczos.extend" (fun () -> extend target);
+    let sorted, residuals = Util.Trace.with_span "lanczos.ritz" check in
+    let dim = !m in
+    let scale_ref = Float.max (Float.abs sorted.(0)) 1e-300 in
+    let kk = Array.length residuals in
+    let within bound = Array.for_all (fun r -> r <= bound *. scale_ref) residuals in
+    let all_ok = kk = k && within tol in
+    if all_ok || dim >= max_dim then begin
+      if not all_ok then begin
         let converged = ref 0 in
         (try
-           for i = 0 to kk - 1 do
-             if residual i <= tol *. scale_ref then incr converged else raise Exit
-           done
+           Array.iter
+             (fun r -> if r <= tol *. scale_ref then incr converged else raise Exit)
+             residuals
          with Exit -> ());
         (* accept looser convergence at full budget only if reasonably tight *)
-        let loose_ok = ref (kk = k) in
-        for i = 0 to kk - 1 do
-          if residual i > 1e-5 *. scale_ref then loose_ok := false
-        done;
-        if not !loose_ok then
+        if not (kk = k && within 1e-5) then
           raise (No_convergence { converged = !converged; wanted = k })
       end;
-      (* assemble Ritz vectors y_i = Q * s_i *)
-      let vectors =
-        Array.init kk (fun i ->
-            let y = Array.make n 0.0 in
-            for j = 0 to dim - 1 do
-              let s = Mat.get z j perm.(i) in
-              if s <> 0.0 then Vec.axpy s basis.(j) y
-            done;
-            y)
+      let eigenvalues, eigenvectors =
+        Util.Trace.with_span "lanczos.vectors" (fun () -> vectors kk)
       in
-      let residuals = Array.init kk residual in
-      finished :=
-        Some
-          {
-            eigenvalues = Array.sub sorted 0 kk;
-            eigenvectors = vectors;
-            iterations = dim;
-            residuals;
-          }
+      finished := Some { eigenvalues; eigenvectors; iterations = dim; residuals }
     end
   done;
   match !finished with

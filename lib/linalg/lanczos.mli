@@ -30,9 +30,22 @@ val top_k :
 
     [tol] is the relative residual tolerance (default 1e-9, relative to the
     largest Ritz value). [max_dim] bounds the Krylov dimension (default
-    [min n (4k + 80)]); the basis is grown adaptively until the wanted pairs
-    converge. [seed] fixes the deterministic pseudo-random start vector.
-    Raises [Invalid_argument] when [k > n] or [k <= 0]. *)
+    [min n (4k + 80)]). [seed] fixes the deterministic pseudo-random start
+    vector.
+
+    Schedule: the basis grows to dimension [k + s], then by [s] more
+    vectors at a time, with [s = max 16 (k / 10)]. After each growth a
+    convergence check runs QL on the tridiagonal with a one-column
+    accumulator (the last row of its eigenvector matrix, O(dim²)), and the
+    solve stops at the first check where every wanted pair's residual
+    bound [|β·s_last,i|] is within [tol]. Only then are the full
+    eigenvector matrix and the Ritz vectors built, once. At the budget,
+    bounds within 1e-5 are accepted, and looser ones raise
+    {!No_convergence}.
+
+    Raises [Invalid_argument] when [k > n] or [k <= 0], or when [matvec]
+    returns a non-finite entry (the message names the Lanczos step), and
+    {!No_convergence} when the tridiagonal QL fails. *)
 
 val top_k_op :
   op:Operator.t ->

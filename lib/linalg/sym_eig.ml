@@ -1,11 +1,15 @@
 (* Householder tridiagonalization (tred2) + implicit-shift QL (tql2),
    translated from the EISPACK/Numerical-Recipes formulation to 0-based
-   indexing. The matrix [z] holds the accumulated transformations; after QL
-   its columns are the eigenvectors. *)
+   indexing. tred2 accumulates its transformation in [z] (columns); QL
+   accumulates its rotations in the transpose [zt], so that each rotation
+   updates two contiguous rows, and after QL the rows of [zt] are the
+   eigenvectors. *)
 
 exception No_convergence of int
 
-let pythag a b =
+module A1 = Bigarray.Array1
+
+let[@inline] pythag a b =
   let absa = Float.abs a and absb = Float.abs b in
   if absa > absb then begin
     let r = absb /. absa in
@@ -95,9 +99,25 @@ let tred2 ~vectors z d e =
     else d.(i) <- Mat.unsafe_get z i i
   done
 
+(* rotation (c, s) of rows [i] and [i + 1] of the n×nz matrix [zt] — the
+   transposed form of EISPACK's column update z(:,i..i+1) · [c s; -s c], the
+   same flops in the same order. The flat buffer keeps the loop free of
+   boxed floats. *)
+let[@inline] rotate_rows zt i c s =
+  let nz = Mat.cols zt in
+  let data = Mat.raw zt in
+  let oi = i * nz in
+  let oj = oi + nz in
+  for k = 0 to nz - 1 do
+    let f = A1.unsafe_get data (oj + k) in
+    let zk = A1.unsafe_get data (oi + k) in
+    A1.unsafe_set data (oj + k) ((s *. zk) +. (c *. f));
+    A1.unsafe_set data (oi + k) ((c *. zk) -. (s *. f))
+  done
+
 (* QL with implicit shifts on the tridiagonal (d, e); rotations applied to
-   the columns of [z] when present. *)
-let tql2 ?z d e =
+   the rows of [zt] when present. *)
+let tql2 ?zt d e =
   let n = Array.length d in
   let eps = epsilon_float in
   for i = 1 to n - 1 do
@@ -156,16 +176,7 @@ let tql2 ?z d e =
             p := !s *. r';
             d.(!i + 1) <- g' +. !p;
             g := (!c *. r') -. b;
-            (match z with
-            | None -> ()
-            | Some z ->
-                let nz = Mat.rows z in
-                for k = 0 to nz - 1 do
-                  let f = Mat.unsafe_get z k (!i + 1) in
-                  Mat.unsafe_set z k (!i + 1)
-                    ((!s *. Mat.unsafe_get z k !i) +. (!c *. f));
-                  Mat.unsafe_set z k !i ((!c *. Mat.unsafe_get z k !i) -. (!s *. f))
-                done);
+            (match zt with None -> () | Some zt -> rotate_rows zt !i !c !s);
             decr i
           end
         done;
@@ -188,10 +199,18 @@ let eig a =
   let d = Array.make n 0.0 in
   let e = Array.make n 0.0 in
   tred2 ~vectors:true z d e;
-  tql2 ~z d e;
+  (* QL accumulates into the transpose: swap z in place *)
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let v = Mat.unsafe_get z i j in
+      Mat.unsafe_set z i j (Mat.unsafe_get z j i);
+      Mat.unsafe_set z j i v
+    done
+  done;
+  tql2 ~zt:z d e;
   (* sort eigenpairs in descending eigenvalue order *)
   let sorted, perm = Util.Arrayx.sort_desc_with_perm d in
-  let q = Mat.init n n (fun i j -> Mat.unsafe_get z i perm.(j)) in
+  let q = Mat.init n n (fun i j -> Mat.unsafe_get z perm.(j) i) in
   (sorted, q)
 
 let eig_values a =
@@ -210,6 +229,8 @@ let tridiag_ql d e =
   Array.sort Float.compare d;
   d
 
-let tridiag_ql_vectors d e z =
-  tql2 ~z d e;
+let tridiag_ql_vectors d e zt =
+  if Mat.rows zt <> Array.length d then
+    invalid_arg "Sym_eig.tridiag_ql_vectors: accumulator rows <> dimension";
+  tql2 ~zt d e;
   d

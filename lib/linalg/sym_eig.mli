@@ -25,6 +25,14 @@ val tridiag_ql : float array -> float array -> float array
     Exposed for the Lanczos solver. *)
 
 val tridiag_ql_vectors : float array -> float array -> Mat.t -> float array
-(** Like {!tridiag_ql} but also accumulates the rotations into the matrix
-    argument (initialized by the caller, typically to identity), giving the
-    tridiagonal eigenvectors as columns. *)
+(** Like {!tridiag_ql} but also accumulates the QL rotations into the
+    {e transposed} eigenvector matrix [zt] (initialized by the caller,
+    [n] rows, any number of columns), and returns the eigenvalues in QL
+    order (unsorted). Started from the identity, row [j] of [zt] ends as
+    the eigenvector of eigenvalue [j]. Started from an [n × 1] column
+    holding the unit vector [e_{n-1}], entry [j] ends as the {e last}
+    component of that eigenvector — the same bits as the last column of
+    the identity-started call, at O(n²) instead of O(n³). The eigenvalue
+    recurrences never read [zt], so every start gives the same eigenvalue
+    bits. Raises [Invalid_argument] when [zt] does not have [n] rows, and
+    {!No_convergence} when QL fails (non-finite input). *)

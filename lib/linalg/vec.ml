@@ -54,3 +54,11 @@ let dist_inf x y =
     acc := Float.max !acc (Float.abs (x.(i) -. y.(i)))
   done;
   !acc
+
+let find_non_finite x =
+  let rec scan i =
+    if i >= Array.length x then None
+    else if Float.is_finite (Array.unsafe_get x i) then scan (i + 1)
+    else Some i
+  in
+  scan 0

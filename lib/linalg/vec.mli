@@ -36,3 +36,7 @@ val normalize : t -> t
 
 val dist_inf : t -> t -> float
 (** Maximum absolute component-wise difference. *)
+
+val find_non_finite : t -> int option
+(** Index of the first NaN/inf entry, if any — the vector counterpart of
+    {!Mat.find_non_finite}. *)

@@ -55,6 +55,9 @@ let guard t ~stage f =
   | exception Linalg.Lanczos.No_convergence { converged; wanted } ->
       fail_with `No_convergence
         (Printf.sprintf "Lanczos converged %d of %d wanted eigenpairs" converged wanted)
+  | exception Linalg.Sym_eig.No_convergence index ->
+      fail_with `No_convergence
+        (Printf.sprintf "dense QL eigensolver did not converge at eigenvalue %d" index)
   | exception Invalid_argument msg -> fail_with `Invalid_input msg
   | exception Not_found -> fail_with `Out_of_domain "internal lookup failed (Not_found)"
 

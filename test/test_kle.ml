@@ -590,6 +590,37 @@ let test_operator_dim_mismatch_rejected () =
         true
         (mentions coarse && mentions fine)
 
+(* the Lanczos schedule on the paper's path: the first convergence check
+   comes at k + step, so a count-50 solve over the flat operator (n > 600)
+   stops well under a 2·count Krylov dimension, and still matches the
+   assembled dense reference *)
+let test_flat_operator_lanczos_stops_early () =
+  let mesh = Geometry.Mesh.uniform Geometry.Rect.unit_die ~divisions:13 in
+  let n = Geometry.Mesh.size mesh in
+  Alcotest.(check bool) (Printf.sprintf "flat-operator path (n = %d > 600)" n) true (n > 600);
+  let count = 50 in
+  let sol, matvecs =
+    Util.Trace.enable ();
+    Fun.protect ~finally:Util.Trace.disable @@ fun () ->
+    Util.Trace.reset ();
+    let sol = Kle.Galerkin.solve ~solver:(Kle.Galerkin.Lanczos { count }) mesh gaussian in
+    (sol, Util.Trace.value Util.Trace.matvecs)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d matvecs < 2 * count = %d" matvecs (2 * count))
+    true (matvecs < 2 * count);
+  let dense =
+    Kle.Galerkin.solve ~mode:Kle.Galerkin.Assembled ~solver:Kle.Galerkin.Dense mesh gaussian
+  in
+  (* the leading 25 (the paper's r); farther down the table apply's
+     ~1e-12 absolute interpolation error dominates the relative error *)
+  for j = 0 to 24 do
+    let v = dense.Kle.Galerkin.eigenvalues.(j) in
+    let rel = Float.abs (v -. sol.Kle.Galerkin.eigenvalues.(j)) /. v in
+    Alcotest.(check bool) (Printf.sprintf "eigenvalue %d rel err %.2e <= 1e-8" j rel) true
+      (rel <= 1e-8)
+  done
+
 (* ---------- hierarchical (H-matrix) operator ---------- *)
 
 (* small leaves so even the test meshes produce genuine far-field blocks *)
@@ -976,6 +1007,8 @@ let () =
             test_operator_dim_mismatch_rejected;
           Alcotest.test_case "concurrent applies bit-identical" `Quick
             test_operator_concurrent_applies_bit_identical;
+          Alcotest.test_case "flat-operator Lanczos stops early" `Quick
+            test_flat_operator_lanczos_stops_early;
         ] );
       ( "hierarchical",
         [

@@ -392,6 +392,42 @@ let test_lanczos_deterministic () =
   let v1 = run () and v2 = run () in
   Array.iteri (fun i v -> check_close ~tol:0.0 "deterministic" v2.(i) v) v1
 
+let test_lanczos_non_finite_matvec () =
+  (* a NaN from the operator used to surface as Sym_eig.No_convergence(0),
+     an exception no caller catches *)
+  Alcotest.check_raises "names the bad step"
+    (Invalid_argument
+       "Lanczos.top_k: matvec returned a non-finite entry nan at index 0 in step 0")
+    (fun () ->
+      ignore (Linalg.Lanczos.top_k ~matvec:(fun _ -> Array.make 20 nan) ~n:20 ~k:3 ()))
+
+(* the convergence check runs QL on a dim×1 accumulator started at e_dim:
+   its eigenvalues, and its entries, must be the bits of the full
+   eigenvector call *)
+let test_ql_last_row_bits () =
+  let n = 40 in
+  let next = lcg_stream 89 in
+  let d = Array.init n (fun _ -> next ()) in
+  let e = Array.init n (fun i -> if i = 0 then 0.0 else next ()) in
+  let full = Mat.identity n in
+  let last = Mat.create n 1 in
+  Mat.set last (n - 1) 0 1.0;
+  let d_full = Linalg.Sym_eig.tridiag_ql_vectors (Array.copy d) (Array.copy e) full in
+  let d_last = Linalg.Sym_eig.tridiag_ql_vectors (Array.copy d) (Array.copy e) last in
+  let d_none = Linalg.Sym_eig.tridiag_ql (Array.copy d) (Array.copy e) in
+  let bits = Int64.bits_of_float in
+  Array.iteri
+    (fun j v ->
+      Alcotest.(check int64) "eigenvalue bits" (bits v) (bits d_last.(j));
+      Alcotest.(check int64) "last-row bits" (bits (Mat.get full j (n - 1)))
+        (bits (Mat.get last j 0)))
+    d_full;
+  let sorted = Array.copy d_full in
+  Array.sort Float.compare sorted;
+  Array.iteri
+    (fun j v -> Alcotest.(check int64) "values-only bits" (bits v) (bits d_none.(j)))
+    sorted
+
 (* ---------- Sparse + CG ---------- *)
 
 let laplacian_1d n =
@@ -497,6 +533,78 @@ let prop_eig_psd_nonnegative =
       let vals = Linalg.Sym_eig.eig_values (random_spd seed n) in
       Array.for_all (fun v -> v > 0.0) vals)
 
+(* Lanczos stops at the first check where every wanted residual bound is
+   below tol·θ₀. Three spectrum shapes: fast decay (Gaussian-like), slow
+   algebraic decay (Matérn-like), and tight clusters in the wanted window
+   over an exactly repeated tail, which drives the invariant-subspace
+   restart. An eigenvalue repeated exactly inside the wanted window is left
+   out on purpose: a single-vector Krylov space sees its second copy only
+   through rounding, and Lanczos can accept the wanted pairs before that
+   copy grows in — with or without the early stop (ROADMAP item 2). *)
+type spectrum = Fast | Slow | Clustered
+
+let spectrum kind ~n ~k =
+  match kind with
+  | Fast -> Array.init n (fun i -> exp (-0.4 *. float_of_int i))
+  | Slow -> Array.init n (fun i -> (1.0 +. float_of_int i) ** -1.5)
+  | Clustered ->
+      let tail = k + 3 in
+      let cluster i = (0.7 ** float_of_int (i / 3)) *. (1.0 +. (1e-3 *. float_of_int (i mod 3))) in
+      Array.init n (fun i -> if i < tail then cluster i else 0.5 *. cluster (tail - 1))
+
+(* Q diag(lambda) Qᵀ for a random orthogonal Q *)
+let with_spectrum seed lambda =
+  let n = Array.length lambda in
+  let _, q = Linalg.Sym_eig.eig (random_sym seed n) in
+  let a =
+    Mat.init n n (fun i j ->
+        let acc = ref 0.0 in
+        for p = 0 to n - 1 do
+          acc := !acc +. (Mat.get q i p *. lambda.(p) *. Mat.get q j p)
+        done;
+        !acc)
+  in
+  Mat.init n n (fun i j -> 0.5 *. (Mat.get a i j +. Mat.get a j i))
+
+let arb_spectrum =
+  QCheck.make
+    QCheck.Gen.(
+      quad (oneofl [ Fast; Slow; Clustered ]) (int_range 40 150) (int_range 3 20)
+        (int_range 1 10_000))
+    ~print:(fun (kind, n, k, seed) ->
+      Printf.sprintf "(%s, n=%d, k=%d, seed=%d)"
+        (match kind with Fast -> "fast" | Slow -> "slow" | Clustered -> "clustered")
+        n k seed)
+
+let prop_lanczos_early_stop =
+  QCheck.Test.make ~name:"early-stopped lanczos matches dense QL" ~count:30 arb_spectrum
+    (fun (kind, n, k, seed) ->
+      let a = with_spectrum seed (spectrum kind ~n ~k) in
+      let dense = Linalg.Sym_eig.eig_values a in
+      let tol = 1e-9 in
+      let r = Linalg.Lanczos.top_k ~matvec:(Mat.mul_vec a) ~n ~k ~tol () in
+      let theta0 = r.Linalg.Lanczos.eigenvalues.(0) in
+      let ys = r.Linalg.Lanczos.eigenvectors in
+      for i = 0 to k - 1 do
+        let theta = r.Linalg.Lanczos.eigenvalues.(i) in
+        if Float.abs (theta -. dense.(i)) > tol *. theta0 then
+          QCheck.Test.fail_reportf "eigenvalue %d: lanczos %.17g, dense %.17g" i theta
+            dense.(i);
+        let y = ys.(i) in
+        let res = Vec.norm2 (Vec.sub (Mat.mul_vec a y) (Vec.scale theta y)) in
+        let bound = r.Linalg.Lanczos.residuals.(i) in
+        if res > bound +. (1e-12 *. theta0) then
+          QCheck.Test.fail_reportf "pair %d: true residual %.3g above its bound %.3g" i res
+            bound;
+        for j = i to k - 1 do
+          let dot = Vec.dot y ys.(j) in
+          let want = if i = j then 1.0 else 0.0 in
+          if Float.abs (dot -. want) > 1e-10 then
+            QCheck.Test.fail_reportf "ritz vectors %d, %d: dot %.3g" i j dot
+        done
+      done;
+      true)
+
 let () =
   Alcotest.run "linalg"
     [
@@ -566,6 +674,9 @@ let () =
           Alcotest.test_case "k = n" `Quick test_lanczos_full_dimension;
           Alcotest.test_case "invalid k raises" `Quick test_lanczos_invalid_k;
           Alcotest.test_case "deterministic" `Quick test_lanczos_deterministic;
+          Alcotest.test_case "non-finite matvec names the step" `Quick
+            test_lanczos_non_finite_matvec;
+          Alcotest.test_case "QL last row matches full QL bits" `Quick test_ql_last_row_bits;
         ] );
       ( "sparse_cg",
         [
@@ -581,5 +692,8 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_eig_trace; prop_cholesky_roundtrip; prop_eig_psd_nonnegative ]
-      );
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+              prop_lanczos_early_stop;
+          ] );
     ]

@@ -572,6 +572,24 @@ let test_pipeline_rejects_invalid_kernel () =
       Alcotest.(check bool) "recorded" true
         (Util.Diag.count ~min_severity:Util.Diag.Error (Ssta.Pipeline.diagnostics p) > 0)
 
+let test_pipeline_ql_failure_is_typed () =
+  (* a NaN from the kernel reaches the PSD spot check's dense QL, which
+     gives up with Sym_eig.No_convergence: the stage guard must turn that
+     into a typed event instead of letting it escape *)
+  let p = Ssta.Pipeline.create () in
+  let kernel = K.Faulty { base = K.Gaussian { c = 2.8 }; plan = Util.Fault.plan Util.Fault.Nan } in
+  let faulty =
+    {
+      Ssta.Process.parameters =
+        Array.map (fun name -> { Ssta.Process.name; kernel }) Circuit.Gate.parameter_names;
+    }
+  in
+  match Ssta.Pipeline.validate_process p faulty with
+  | Ok _ -> Alcotest.fail "NaN kernel accepted"
+  | Error e ->
+      Alcotest.(check bool) "typed no-convergence" true (e.Util.Diag.code = `No_convergence);
+      Alcotest.(check string) "stage" "pipeline.validate_process" e.Util.Diag.stage
+
 let test_pipeline_mesh_angle_floor () =
   let p = Ssta.Pipeline.create () in
   let mesh = Geometry.Mesh.uniform Geometry.Rect.unit_die ~divisions:4 in
@@ -931,6 +949,8 @@ let () =
           Alcotest.test_case "kle staged flow" `Quick test_pipeline_kle_stages;
           Alcotest.test_case "invalid kernel rejected" `Quick
             test_pipeline_rejects_invalid_kernel;
+          Alcotest.test_case "QL failure is a typed error" `Quick
+            test_pipeline_ql_failure_is_typed;
           Alcotest.test_case "mesh angle floor" `Quick test_pipeline_mesh_angle_floor;
           Alcotest.test_case "strict escalates degraded factorization" `Quick
             test_pipeline_strict_escalates_degraded_factorization;
