@@ -901,8 +901,8 @@ let enqueue t job =
 (* ---------------------------------------------------------------- *)
 (* lifecycle *)
 
-(* ingress req_id namespace: two servers in one process (router tests)
-   must not mint colliding IDs, so mix a per-process sequence into the
+(* ingress req_id namespace: two servers in one process (the chaos
+   baseline and storm servers, tests) must not mint colliding IDs, so mix a per-process sequence into the
    monotonic-clock reading *)
 let instance_counter = Atomic.make 0
 

@@ -81,6 +81,47 @@ let read_frame ?(magic_consumed = false) ic =
             Ok (Bytes.unsafe_to_string payload)
       with End_of_file -> Error (`Corrupt "truncated frame"))
 
+(* The JSON-lines counterpart of read_frame's length guard: stop at the
+   cap instead of buffering an unbounded line. The reader owns a chunk
+   buffer, so a line costs one channel read per chunk rather than one
+   locked channel call per byte. *)
+type line_reader = { ic : in_channel; chunk : Bytes.t; mutable pos : int; mutable len : int }
+
+let line_reader ?first ic =
+  let chunk = Bytes.create 65536 in
+  match first with
+  | Some c ->
+      Bytes.set chunk 0 c;
+      { ic; chunk; pos = 0; len = 1 }
+  | None -> { ic; chunk; pos = 0; len = 0 }
+
+let read_line r =
+  let line = Buffer.create 256 in
+  let rec newline i = if i >= r.len || Bytes.get r.chunk i = '\n' then i else newline (i + 1) in
+  let rec go ~started =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then if started then Ok (Buffer.contents line) else Error `Eof
+    else
+      let stop = newline r.pos in
+      if Buffer.length line + (stop - r.pos) > max_payload then
+        Error (`Corrupt (Printf.sprintf "request line exceeds cap %d bytes" max_payload))
+      else begin
+        Buffer.add_subbytes line r.chunk r.pos (stop - r.pos);
+        if stop < r.len then begin
+          r.pos <- stop + 1;
+          Ok (Buffer.contents line)
+        end
+        else begin
+          r.pos <- r.len;
+          go ~started:true
+        end
+      end
+  in
+  go ~started:false
+
 (* ---------------------------------------------------------------- *)
 (* structured values *)
 

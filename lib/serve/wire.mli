@@ -54,6 +54,19 @@ val read_frame : ?magic_consumed:bool -> in_channel -> (string, read_error) resu
 (** Blocking frame read. [~magic_consumed:true] means the caller already
     consumed {!magic0} while sniffing the wire. *)
 
+type line_reader
+(** A buffered JSON-lines reader over one connection. *)
+
+val line_reader : ?first:char -> in_channel -> line_reader
+(** [~first] is a byte the caller already consumed while sniffing the
+    wire; it is read back as the start of the first line. *)
+
+val read_line : line_reader -> (string, read_error) result
+(** Blocking read of one JSON-lines request, without its ['\n'] (a final
+    line without one is returned at end of input). A line longer than
+    {!max_payload} bytes is [`Corrupt] once the cap is passed, so a peer
+    cannot make the reader buffer more than the binary wire would. *)
+
 (** {1 Structured values} *)
 
 val encode_jsonx : Persist.Codec.writer -> Util.Jsonx.t -> unit

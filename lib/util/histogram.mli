@@ -3,12 +3,12 @@
     Values are non-negative integers (by convention nanoseconds). The
     layout is value-range independent and identical for every instance:
     exact buckets below 32, then 32 sub-buckets per power of two —
-    bounding relative error at ~3% — so histograms recorded on different
-    domains, processes, or shards merge bucket-by-bucket with no
-    resampling. Recording is lock-free (one atomic fetch-and-add per
-    bucket); because addition commutes, the bucket counts after recording
-    a given multiset of samples are bit-identical regardless of how the
-    samples were interleaved across domains.
+    bounding relative error at ~3% — so any two histograms merge
+    bucket-by-bucket with no resampling. Recording is lock-free (one
+    atomic fetch-and-add per bucket); because addition commutes, the
+    bucket counts after recording a given multiset of samples are
+    bit-identical regardless of how the samples were interleaved across
+    domains.
 
     Quantile queries return the bucket midpoint, which is monotone in the
     bucket index, so [quantile h p <= quantile h q] whenever [p <= q]. *)
@@ -16,8 +16,8 @@
 type t
 
 val layout : string
-(** Layout identifier embedded in the JSON encoding ("log-linear-5");
-    decoding rejects snapshots produced under a different layout. *)
+(** Layout identifier embedded in the JSON encoding ("log-linear-5"), so
+    a reader of a snapshot can tell which bucket layout produced it. *)
 
 val num_buckets : int
 (** Size of the fixed bucket array (covers every non-negative [int]). *)
@@ -53,10 +53,6 @@ val merge_into : dst:t -> t -> unit
     any two histograms merge; merging is commutative and associative up
     to bit-identical bucket counts. *)
 
-val copy : t -> t
-(** Snapshot (a plain copy; subsequent recording into either side is
-    independent). *)
-
 val reset : t -> unit
 (** Zero every bucket, the count and the sum. Not atomic with respect to
     concurrent recorders; callers quiesce recording first. *)
@@ -67,7 +63,3 @@ val buckets : t -> (int * int) list
 val to_json : t -> Jsonx.t
 (** Versioned snapshot: [{"v":1,"layout":"log-linear-5","count":..,
     "sum":..,"buckets":[[index,count],..]}]. *)
-
-val of_json : Jsonx.t -> (t, string) result
-(** Decode a snapshot; rejects unknown versions, foreign layouts,
-    out-of-range indices and counts that do not add up. *)

@@ -13,11 +13,25 @@ exception Parse of string
 
 let err pos fmt = Printf.ksprintf (fun m -> raise (Parse (Printf.sprintf "%s at byte %d" m pos))) fmt
 
-type cursor = { s : string; mutable pos : int }
+let max_depth = 1000
+
+(* [depth] counts the arrays and objects open at [pos]: the parser recurses
+   once per level, so the cap bounds its stack as Wire.max_depth does for
+   the binary wire *)
+type cursor = { s : string; mutable pos : int; mutable depth : int }
 
 let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
 
 let advance c = c.pos <- c.pos + 1
+
+let enter c =
+  if c.depth >= max_depth then err c.pos "nesting exceeds depth cap %d" max_depth;
+  c.depth <- c.depth + 1;
+  advance c
+
+let leave c =
+  c.depth <- c.depth - 1;
+  advance c
 
 let skip_ws c =
   while
@@ -147,10 +161,10 @@ let rec parse_value c =
   match peek c with
   | None -> err c.pos "unexpected end of input"
   | Some '{' ->
-      advance c;
+      enter c;
       skip_ws c;
       if peek c = Some '}' then begin
-        advance c;
+        leave c;
         Obj []
       end
       else begin
@@ -165,17 +179,17 @@ let rec parse_value c =
           skip_ws c;
           match peek c with
           | Some ',' -> advance c; members ()
-          | Some '}' -> advance c
+          | Some '}' -> leave c
           | _ -> err c.pos "expected , or } in object"
         in
         members ();
         Obj (List.rev !fields)
       end
   | Some '[' ->
-      advance c;
+      enter c;
       skip_ws c;
       if peek c = Some ']' then begin
-        advance c;
+        leave c;
         List []
       end
       else begin
@@ -186,7 +200,7 @@ let rec parse_value c =
           skip_ws c;
           match peek c with
           | Some ',' -> advance c; elements ()
-          | Some ']' -> advance c
+          | Some ']' -> leave c
           | _ -> err c.pos "expected , or ] in array"
         in
         elements ();
@@ -200,7 +214,7 @@ let rec parse_value c =
   | Some ch -> err c.pos "unexpected character %C" ch
 
 let parse s =
-  let c = { s; pos = 0 } in
+  let c = { s; pos = 0; depth = 0 } in
   match parse_value c with
   | v ->
       skip_ws c;

@@ -14,9 +14,15 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val max_depth : int
+(** Nesting cap of {!parse} (1000, the binary wire's cap): [[]] is depth 1,
+    and a value nested deeper is rejected. *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error. Error
-    strings mention the byte offset. *)
+    strings mention the byte offset. Arrays and objects nested deeper than
+    {!max_depth} are an error naming the cap, so hostile input cannot
+    exhaust the stack. *)
 
 val to_string : t -> string
 (** Compact one-line rendering (no newlines, suitable for JSON-lines). *)

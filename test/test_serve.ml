@@ -784,11 +784,38 @@ let test_jsonx_control_and_bytes () =
         (Util.Jsonx.as_str (parse_ok printed)))
     [ "\xe2\x82\xac euro"; "caf\xc3\xa9"; "\xf0\x9d\x84\x9e"; "raw \xff\x80 bytes" ]
 
+(* ---------- jsonx nesting cap ---------- *)
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_jsonx_depth_cap () =
+  let cap = Util.Jsonx.max_depth in
+  (match Util.Jsonx.parse (nested cap) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "depth %d rejected: %s" cap msg);
+  let names_cap = function
+    | Ok _ -> false
+    | Error msg -> contains ~sub:(Printf.sprintf "depth cap %d" cap) msg
+  in
+  Alcotest.(check bool) "balanced depth cap + 1 rejected, naming the cap" true
+    (names_cap (Util.Jsonx.parse (nested (cap + 1))));
+  Alcotest.(check bool) "objects count toward the cap" true
+    (names_cap
+       (Util.Jsonx.parse
+          (String.concat "" (List.init (cap + 1) (fun _ -> {|{"k":|})) ^ "0"
+          ^ String.make (cap + 1) '}')));
+  (* a megabyte of unbalanced brackets stops at the cap instead of
+     recursing a million frames deep *)
+  let bomb = String.make 1_000_000 '[' in
+  let result, elapsed = Util.Timer.time (fun () -> Util.Jsonx.parse bomb) in
+  Alcotest.(check bool) "1 M '[' is a typed error" true (names_cap result);
+  Alcotest.(check bool) (Printf.sprintf "returned in %.3fs (< 0.1s)" elapsed) true
+    (elapsed < 0.1)
+
 (* ---------- binary wire ---------- *)
 
 module Wire = Serve.Wire
 module Codec = Persist.Codec
-module Router = Serve.Router
 
 let test_wire_frame_roundtrip () =
   List.iter
@@ -863,6 +890,93 @@ let test_wire_read_frame () =
       Alcotest.(check bool) "says truncated" true (contains ~sub:"truncated" msg)
   | _ -> Alcotest.fail "truncated stream accepted");
   close_in ic
+
+(* write [input] to a pipe's write end from a thread, then close it: a line
+   at the cap does not fit in the pipe buffer, and the reader may stop
+   before taking all of it (the write then fails with EPIPE) *)
+let feed fd input =
+  Thread.create
+    (fun () ->
+      let oc = Unix.out_channel_of_descr fd in
+      (try output_string oc input; flush oc with Sys_error _ -> ());
+      try close_out oc with Sys_error _ -> ())
+    ()
+
+let with_pipe_input input f =
+  let rd_fd, wr_fd = Unix.pipe () in
+  let writer = feed wr_fd input in
+  let ic = Unix.in_channel_of_descr rd_fd in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in ic;
+      Thread.join writer)
+    (fun () -> f ic)
+
+let test_wire_read_line () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let cap = Wire.max_payload in
+  (* the sniffer already consumed the leading '{' *)
+  with_pipe_input "\"a\":1}\n\nlast" (fun ic ->
+      let r = Wire.line_reader ~first:'{' ic in
+      (match Wire.read_line r with
+      | Ok "{\"a\":1}" -> ()
+      | _ -> Alcotest.fail "sniffed first byte not restored");
+      (match Wire.read_line r with Ok "" -> () | _ -> Alcotest.fail "empty line");
+      (match Wire.read_line r with
+      | Ok "last" -> ()
+      | _ -> Alcotest.fail "unterminated last line");
+      match Wire.read_line r with Error `Eof -> () | _ -> Alcotest.fail "eof expected");
+  (* a line at the cap spans many chunks and is followed by another *)
+  with_pipe_input (String.make cap ' ' ^ "\nnext\n") (fun ic ->
+      let r = Wire.line_reader ic in
+      (match Wire.read_line r with
+      | Ok line -> Alcotest.(check int) "a line at the cap is read" cap (String.length line)
+      | Error _ -> Alcotest.fail "line at the cap rejected");
+      match Wire.read_line r with
+      | Ok "next" -> ()
+      | _ -> Alcotest.fail "line after the cap-length line");
+  with_pipe_input (String.make (cap + 1) ' ' ^ "\n") (fun ic ->
+      match Wire.read_line (Wire.line_reader ic) with
+      | Error (`Corrupt msg) ->
+          Alcotest.(check bool) "names the cap" true (contains ~sub:"exceeds cap" msg)
+      | _ -> Alcotest.fail "line over the cap accepted")
+
+(* the JSON wire end to end: ssta_serve on stdin/stdout answers a line one
+   byte over the cap with a single id-null parse_error and drops the
+   stream, exactly as it treats corrupt binary framing *)
+let test_serve_json_line_cap () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/ssta_serve.exe"
+  in
+  let first = {|{"id":1,"method":"stats"}|} in
+  let input =
+    first
+    ^ String.make (Wire.max_payload + 1 - String.length first) ' '
+    ^ "\n" ^ {|{"id":2,"method":"stats"}|} ^ "\n"
+  in
+  let child_in, child_feed = Unix.pipe ~cloexec:true () in
+  let drain, child_out = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process exe [| exe; "--workers"; "1" |] child_in child_out Unix.stderr in
+  Unix.close child_in;
+  Unix.close child_out;
+  let writer = feed child_feed input in
+  let ic = Unix.in_channel_of_descr drain in
+  let output = In_channel.input_all ic in
+  close_in ic;
+  Thread.join writer;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "server exits cleanly" true (status = Unix.WEXITED 0);
+  match String.split_on_char '\n' (String.trim output) with
+  | [ line ] ->
+      Alcotest.(check bool) "id null" true
+        (Protocol.response_id line = Some Util.Jsonx.Null);
+      Alcotest.(check bool) "names the cap" true
+        (contains ~sub:"exceeds cap" (expect_error line Protocol.Parse_error))
+  | lines ->
+      Alcotest.failf "want one parse_error reply, got %d line(s): %s" (List.length lines)
+        (String.concat " | "
+           (List.map (fun l -> if String.length l > 80 then String.sub l 0 80 else l) lines))
 
 let test_wire_jsonx_codec () =
   let roundtrip v =
@@ -1071,7 +1185,253 @@ let test_wire_response_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage response accepted"
 
-(* ---------- cross-wire / cross-shard helpers ---------- *)
+(* ---------- fuzz: round-trip and byte-mutation properties ---------- *)
+
+(* Fixed seeds keep every run of [dune runtest] on the same cases. A
+   mutated input may still decode (a flipped float byte is another valid
+   float), so the mutation properties require a value or a typed error,
+   never an exception, and bound what one decode may allocate. *)
+
+module G = QCheck.Gen
+
+let fuzz_seed = 1515
+
+let gen_bytes = G.string_size ~gen:G.char (G.int_bound 12)
+
+(* finite numbers only: NaN prints as null and is not a round trip *)
+let gen_num =
+  G.oneof
+    [
+      G.map float_of_int G.small_signed_int;
+      G.float_range (-1e6) 1e6;
+      G.oneofl [ 0.0; -0.0; 1e300; -1e-300; 4503599627370497.0; Float.infinity ];
+    ]
+
+let gen_jsonx =
+  G.sized_size (G.int_bound 4)
+  @@ G.fix (fun self depth ->
+         let leaf =
+           G.oneof
+             [
+               G.return Util.Jsonx.Null;
+               G.map (fun b -> Util.Jsonx.Bool b) G.bool;
+               G.map (fun v -> Util.Jsonx.Num v) gen_num;
+               G.map (fun s -> Util.Jsonx.Str s) gen_bytes;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           G.frequency
+             [
+               (2, leaf);
+               (1, G.map (fun l -> Util.Jsonx.List l) (G.list_size (G.int_bound 4) (self (depth - 1))));
+               ( 1,
+                 G.map
+                   (fun fs -> Util.Jsonx.Obj fs)
+                   (G.list_size (G.int_bound 4) (G.pair gen_bytes (self (depth - 1)))) );
+               ( 1,
+                 G.map
+                   (fun l -> Util.Jsonx.List (List.map (fun v -> Util.Jsonx.Num v) l))
+                   (G.list_size (G.int_range 1 6) gen_num) );
+             ])
+
+(* 1..4 edits: overwrite, insert or delete one byte, or truncate *)
+let gen_mutations = G.list_size (G.int_range 1 4) (G.triple (G.int_bound 3) G.nat G.char)
+
+let mutate s edits =
+  List.fold_left
+    (fun s (kind, pos, ch) ->
+      let n = String.length s in
+      let at = if n = 0 then 0 else pos mod n in
+      match kind with
+      | 0 when n > 0 -> String.mapi (fun i c -> if i = at then ch else c) s
+      | 1 -> String.sub s 0 at ^ String.make 1 ch ^ String.sub s at (n - at)
+      | 2 when n > 0 -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+      | _ -> String.sub s 0 at)
+    s edits
+
+let allocated_by f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let within_cap bytes = bytes < float_of_int Wire.max_payload
+
+let print_mutated = QCheck.Print.(pair string (list (triple int int char)))
+
+let prop_jsonx_roundtrip =
+  QCheck.Test.make ~name:"jsonx text round-trip" ~count:300
+    (QCheck.make ~print:Util.Jsonx.to_string gen_jsonx)
+    (fun v -> Util.Jsonx.parse (Util.Jsonx.to_string v) = Ok v)
+
+let prop_jsonx_mutation =
+  QCheck.Test.make ~name:"jsonx mutated text is a value or an Error" ~count:500
+    (QCheck.make ~print:print_mutated (G.pair (G.map Util.Jsonx.to_string gen_jsonx) gen_mutations))
+    (fun (text, edits) ->
+      let text' = mutate text edits in
+      let result, bytes = allocated_by (fun () -> Util.Jsonx.parse text') in
+      (match result with Ok v -> text' <> text || Util.Jsonx.to_string v = text | Error _ -> true)
+      && within_cap bytes)
+
+(* nesting of 0..2500 mixed arrays and objects, closed fully or partly *)
+let gen_nesting =
+  G.(
+    int_bound 2500 >>= fun depth ->
+    pair (list_repeat depth bool) (oneof [ return depth; int_bound depth ]))
+
+let prop_jsonx_deep_nesting =
+  QCheck.Test.make ~name:"jsonx nesting accepted up to the cap only" ~count:200
+    (QCheck.make
+       ~print:(fun (levels, closed) ->
+         Printf.sprintf "depth %d, %d closed" (List.length levels) closed)
+       gen_nesting)
+    (fun (levels, closed) ->
+      let depth = List.length levels in
+      let opens = String.concat "" (List.map (fun arr -> if arr then "[" else {|{"k":|}) levels) in
+      let closes =
+        String.concat ""
+          (List.filteri (fun i _ -> i < closed) (List.rev_map (fun arr -> if arr then "]" else "}") levels))
+      in
+      let inner = if depth > 0 && not (List.nth levels (depth - 1)) then "0" else "" in
+      match Util.Jsonx.parse (opens ^ inner ^ closes) with
+      | Ok _ -> closed = depth && depth >= 1 && depth <= Util.Jsonx.max_depth
+      | Error msg ->
+          if depth > Util.Jsonx.max_depth then contains ~sub:"depth cap" msg
+          else not (closed = depth && depth >= 1))
+
+let gen_request =
+  let pos = G.int_range 1 100_000 in
+  let nonempty = G.string_size ~gen:G.char (G.int_range 1 12) in
+  let circuit =
+    G.oneof
+      [
+        G.map (fun s -> Protocol.Named s) nonempty;
+        G.map (fun s -> Protocol.Bench_text s) nonempty;
+      ]
+  in
+  let call =
+    G.oneof
+      [
+        G.oneofl Protocol.[ Stats; Health; Shutdown; Metrics; Debug ];
+        G.map2 (fun circuit r -> Protocol.Prepare { circuit; r }) circuit (G.opt pos);
+        G.(
+          circuit >>= fun circuit ->
+          oneofl Protocol.[ Cholesky; Kle; Kle_qmc ] >>= fun sampler ->
+          opt pos >>= fun r ->
+          int >>= fun seed ->
+          pos >>= fun n ->
+          opt pos >>= fun batch ->
+          bool >|= fun full -> Protocol.Run_mc { circuit; sampler; r; seed; n; batch; full });
+        G.(
+          circuit >>= fun circuit ->
+          opt pos >>= fun r ->
+          int >>= fun seed ->
+          pos >|= fun n -> Protocol.Compare { circuit; r; seed; n });
+        G.(
+          circuit >>= fun circuit ->
+          opt pos >>= fun r ->
+          opt pos >>= fun n_blocks ->
+          opt (pair nat nonempty) >|= fun edit ->
+          Protocol.Retime
+            {
+              circuit;
+              r;
+              n_blocks;
+              edit = Option.map (fun (gate, kind) -> { Protocol.gate; kind }) edit;
+            });
+      ]
+  in
+  G.(
+    gen_jsonx >>= fun id ->
+    opt nonempty >>= fun req_id ->
+    opt (float_range 0.5 1e6) >>= fun deadline_ms ->
+    call >|= fun call -> { Protocol.id; req_id; deadline_ms; call })
+
+let print_request r = Protocol.encode_request r
+
+let decode_frame frame =
+  match Wire.unframe frame with
+  | Error (`Eof | `Corrupt _) -> None
+  | Ok payload -> Some (Wire.decode_request payload)
+
+let prop_wire_request_roundtrip =
+  QCheck.Test.make ~name:"wire request round-trip" ~count:300
+    (QCheck.make ~print:print_request gen_request)
+    (fun r -> decode_frame (Wire.encode_request r) = Some (Ok r))
+
+let prop_wire_request_mutation =
+  QCheck.Test.make ~name:"wire mutated request frame is a value or an Error" ~count:500
+    (QCheck.make
+       ~print:(fun (r, edits) -> print_mutated (print_request r, edits))
+       (G.pair gen_request gen_mutations))
+    (fun (r, edits) ->
+      let frame = Wire.encode_request r in
+      let frame' = mutate frame edits in
+      let result, bytes = allocated_by (fun () -> decode_frame frame') in
+      (match result with
+      | Some (Ok back) -> frame' <> frame || back = r
+      | Some (Error _) | None -> true)
+      && within_cap bytes)
+
+let gen_response =
+  G.(
+    gen_jsonx >>= fun id ->
+    opt (string_size ~gen:char (int_range 1 12)) >>= fun req_id ->
+    oneof
+      [
+        map (fun p -> Ok p) gen_jsonx;
+        map2
+          (fun code msg -> Error (code, msg))
+          (oneofl Protocol.[ Parse_error; Bad_params; Overloaded; Internal_error ])
+          gen_bytes;
+      ]
+    >|= fun result -> (id, req_id, result))
+
+let response_frame (id, req_id, result) =
+  match result with
+  | Ok payload -> Wire.ok_response ~id ?req_id payload
+  | Error (code, msg) -> Wire.error_response ~id ?req_id code msg
+
+let decode_response_frame frame =
+  match Wire.unframe frame with
+  | Error (`Eof | `Corrupt _) -> None
+  | Ok payload -> Some (Wire.decode_response payload)
+
+let print_response r = String.escaped (response_frame r)
+
+let prop_wire_response_roundtrip =
+  QCheck.Test.make ~name:"wire response round-trip" ~count:300
+    (QCheck.make ~print:print_response gen_response)
+    (fun r -> decode_response_frame (response_frame r) = Some (Ok r))
+
+let prop_wire_response_mutation =
+  QCheck.Test.make ~name:"wire mutated response frame is a value or an Error" ~count:500
+    (QCheck.make
+       ~print:(fun (r, edits) -> print_mutated (print_response r, edits))
+       (G.pair gen_response gen_mutations))
+    (fun (r, edits) ->
+      let frame = response_frame r in
+      let frame' = mutate frame edits in
+      let result, bytes = allocated_by (fun () -> decode_response_frame frame') in
+      (match result with
+      | Some (Ok back) -> frame' <> frame || back = r
+      | Some (Error _) | None -> true)
+      && within_cap bytes)
+
+let fuzz_tests =
+  List.map
+    (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| fuzz_seed |]))
+    [
+      prop_jsonx_roundtrip;
+      prop_jsonx_mutation;
+      prop_jsonx_deep_nesting;
+      prop_wire_request_roundtrip;
+      prop_wire_request_mutation;
+      prop_wire_response_roundtrip;
+      prop_wire_response_mutation;
+    ]
+
+(* ---------- cross-wire helpers ---------- *)
 
 let mc_request ?(id = 1.0) ?req_id ?(seed = 3) ?(n = 24) ?(full = false) () =
   {
@@ -1159,178 +1519,6 @@ let test_wire_cross_identity () =
       Alcotest.(check bool) "names the circuit" true (contains ~sub:"no-such-circuit" msg)
   | _ -> Alcotest.fail "expected netlist_error over the binary wire"
 
-(* ---------- router ---------- *)
-
-let sync_router_call router line =
-  let m = Mutex.create () and c = Condition.create () in
-  let slot = ref None in
-  Router.submit router ~wire:`Json line ~reply:(fun r ->
-      Mutex.protect m (fun () ->
-          slot := Some r;
-          Condition.signal c));
-  Mutex.protect m (fun () ->
-      while !slot = None do
-        Condition.wait c m
-      done;
-      Option.get !slot)
-
-let test_router_routing_key () =
-  let req call = { Protocol.id = Util.Jsonx.Null; req_id = None; deadline_ms = None; call } in
-  let run_mc r =
-    req
-      (Protocol.Run_mc
-         { circuit = Protocol.Named "c17"; sampler = Protocol.Kle; r; seed = 99; n = 4;
-           batch = None; full = false })
-  in
-  let k_prepare =
-    Router.routing_key (req (Protocol.Prepare { circuit = Protocol.Named "c17"; r = Some 3 }))
-  in
-  let k_run = Router.routing_key (run_mc (Some 3)) in
-  Alcotest.(check bool) "prepare and run_mc share the model-spec key" true
-    (k_prepare <> None && k_prepare = k_run);
-  Alcotest.(check bool) "truncation is part of the key" true
-    (k_run <> Router.routing_key (run_mc (Some 4)));
-  let k_bench call = Router.routing_key (req call) in
-  Alcotest.(check bool) "bench text keys by content hash" true
-    (k_bench (Protocol.Prepare { circuit = Protocol.Bench_text tiny_bench; r = None })
-     = k_bench
-         (Protocol.Compare
-            { circuit = Protocol.Bench_text tiny_bench; r = None; seed = 1; n = 2 }));
-  List.iter
-    (fun call ->
-      Alcotest.(check bool) "control calls are unrouted" true
-        (Router.routing_key (req call) = None))
-    [ Protocol.Stats; Protocol.Health; Protocol.Shutdown ]
-
-let test_router_ring () =
-  with_server @@ fun s1 ->
-  with_server @@ fun s2 ->
-  let router = Router.create [ Router.backend_of_server s1; Router.backend_of_server s2 ] in
-  let counts = Array.make 2 0 in
-  for i = 0 to 499 do
-    let key = Printf.sprintf "name:c%d;r=auto" i in
-    let shard = Router.shard_of router key in
-    Alcotest.(check int) "stable assignment" shard (Router.shard_of router key);
-    counts.(shard) <- counts.(shard) + 1
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "balanced (%d/%d)" counts.(0) counts.(1))
-    true
-    (counts.(0) > 100 && counts.(1) > 100)
-
-let test_router_cross_shard_identity () =
-  with_server @@ fun direct ->
-  with_server @@ fun s1 ->
-  with_server @@ fun s2 ->
-  let router =
-    Router.create
-      [
-        Router.backend_of_server ~describe:"shard-0" s1;
-        Router.backend_of_server ~describe:"shard-1" s2;
-      ]
-  in
-  let line = Protocol.encode_request (mc_request ~full:true ()) in
-  let want = mc_stat_bits (expect_ok (sync_call direct line)) in
-  let got = mc_stat_bits (expect_ok (sync_router_call router line)) in
-  Alcotest.(check bool) "bit-identical through the router" true (got = want);
-  (* health and stats aggregate every shard plus router counters *)
-  let health = expect_ok (sync_router_call router {|{"id":0,"method":"health"}|}) in
-  Alcotest.(check (option bool)) "healthy" (Some true)
-    (Option.bind (Util.Jsonx.member "healthy" health) Util.Jsonx.as_bool);
-  Alcotest.(check (option int)) "shards" (Some 2)
-    (Option.bind (Util.Jsonx.member "shards" health) Util.Jsonx.as_int);
-  (match Util.Jsonx.member "shard_health" health with
-  | Some (Util.Jsonx.List [ _; _ ]) -> ()
-  | _ -> Alcotest.fail "expected a per-shard health list");
-  let stats = expect_ok (sync_router_call router {|{"id":0,"method":"stats"}|}) in
-  (match Option.bind (Util.Jsonx.member "router" stats) (Util.Jsonx.member "forwarded") with
-  | Some (Util.Jsonx.Num f) when f >= 1.0 -> ()
-  | _ -> Alcotest.fail "router counters missing from stats");
-  (* shutdown broadcasts to every shard and drains the router *)
-  let bye = expect_ok (sync_router_call router {|{"id":0,"method":"shutdown"}|}) in
-  Alcotest.(check (option bool)) "shutting down" (Some true)
-    (Option.bind (Util.Jsonx.member "shutting_down" bye) Util.Jsonx.as_bool);
-  Alcotest.(check bool) "router drains" true (Router.shutdown_requested router);
-  ignore (expect_error (sync_router_call router line) Protocol.Shutting_down);
-  Alcotest.(check bool) "shards saw the shutdown" true
-    (Server.shutdown_requested s1 && Server.shutdown_requested s2)
-
-let test_router_shed_and_failover () =
-  let request = mc_request () in
-  let line = Protocol.encode_request request in
-  let key = Option.get (Router.routing_key request) in
-  (* failover: the key's owner is unhealthy, so its replica serves *)
-  let down = [| false; false |] in
-  let backend i =
-    {
-      Router.send =
-        (fun _request ~reply ->
-          reply (Ok (Util.Jsonx.Obj [ ("served_by", Util.Jsonx.Num (float_of_int i)) ])));
-      healthy = (fun () -> not down.(i));
-      describe = Printf.sprintf "shard-%d" i;
-    }
-  in
-  let router = Router.create [ backend 0; backend 1 ] in
-  let owner = Router.shard_of router key in
-  down.(owner) <- true;
-  let payload = expect_ok (sync_router_call router line) in
-  Alcotest.(check (option int)) "replica served" (Some (1 - owner))
-    (Option.bind (Util.Jsonx.member "served_by" payload) Util.Jsonx.as_int);
-  Alcotest.(check bool) "retry counted" true ((Router.stats router).Router.retried >= 1);
-  (* both replicas down: a typed internal error, never a hang *)
-  down.(0) <- true;
-  down.(1) <- true;
-  ignore (expect_error (sync_router_call router line) Protocol.Internal_error);
-  (* a backend whose send raises also fails over to the replica *)
-  let raised = ref 0 in
-  let backend2 i =
-    if i = owner then
-      {
-        Router.send =
-          (fun _request ~reply:_ ->
-            incr raised;
-            failwith "shard connection lost");
-        healthy = (fun () -> true);
-        describe = "raiser";
-      }
-    else backend i
-  in
-  down.(0) <- false;
-  down.(1) <- false;
-  let router2 = Router.create [ backend2 0; backend2 1 ] in
-  let payload2 = expect_ok (sync_router_call router2 line) in
-  Alcotest.(check (option int)) "failover after raise" (Some (1 - owner))
-    (Option.bind (Util.Jsonx.member "served_by" payload2) Util.Jsonx.as_int);
-  Alcotest.(check bool) "raise recorded" true
-    ((Router.stats router2).Router.shard_errors >= 1 && !raised = 1);
-  (* shed, not spread: the owner at capacity answers overloaded immediately
-     instead of spilling the key onto the other shard *)
-  let parked = ref [] in
-  let slow i =
-    if i = owner then
-      {
-        Router.send = (fun _request ~reply -> parked := reply :: !parked);
-        healthy = (fun () -> true);
-        describe = "parked";
-      }
-    else backend i
-  in
-  let config = { Router.default_config with Router.max_inflight_per_shard = 1 } in
-  let router3 = Router.create ~config [ slow 0; slow 1 ] in
-  let first = ref None in
-  Router.submit router3 ~wire:`Json line ~reply:(fun r -> first := Some r);
-  Alcotest.(check int) "first request forwarded and parked" 1 (List.length !parked);
-  let msg = expect_error (sync_router_call router3 line) Protocol.Overloaded in
-  Alcotest.(check bool) "names the capacity" true (contains ~sub:"capacity" msg);
-  Alcotest.(check bool) "shed counted" true ((Router.stats router3).Router.shed >= 1);
-  (* releasing the parked request completes the first call normally *)
-  (match !parked with
-  | [ release ] -> release (Ok Util.Jsonx.(Obj [ ("served_by", Num (float_of_int owner)) ]))
-  | _ -> Alcotest.fail "expected exactly one parked request");
-  match !first with
-  | Some reply_line -> ignore (expect_ok reply_line)
-  | None -> Alcotest.fail "parked reply never delivered"
-
 let test_client_binary_wire () =
   with_server @@ fun server ->
   let transport message ~reply =
@@ -1391,64 +1579,14 @@ let test_server_chaos_invariants () =
     (report.Serve.Chaos.faults_injected >= 50);
   Alcotest.(check bool) "workers were crashed" true
     (report.Serve.Chaos.worker_restarts >= 1);
-  (* every reply — including retried and failed-over ones — carried the
-     originating request's correlation ID exactly once *)
+  (* every reply — including retried ones — carried the originating
+     request's correlation ID exactly once *)
   Alcotest.(check int) "req_id violations" 0 report.Serve.Chaos.id_violations;
   (match Serve.Chaos.violations ~min_faults:50 report with
   | [] -> ()
   | v ->
       Alcotest.failf "chaos violations: %s (report: %s)" (String.concat "; " v)
         (Serve.Chaos.report_to_string report))
-
-(* the same storm through the router path: two shards sharing one store,
-   shard 0's backend blacking out periodically — crash + restart + replica
-   failover all covered by the zero-wrong-results invariant *)
-let test_router_chaos_invariants () =
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kle-test-chaos-router.%d" (Unix.getpid ()))
-  in
-  let cfg =
-    {
-      Serve.Chaos.default_config with
-      Serve.Chaos.requests = 60;
-      mc_samples = 8;
-      crash_period = 10;
-      crash_limit = 4;
-      read_error_period = 4;
-      short_read_period = 6;
-      torn_write_period = 2;
-      latency_period = 2;
-      latency_ms = 0.05;
-      router_shards = 2;
-    }
-  in
-  let report =
-    Fun.protect
-      ~finally:(fun () ->
-        try
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat store_dir f))
-            (Sys.readdir store_dir);
-          Unix.rmdir store_dir
-        with Sys_error _ | Unix.Unix_error _ -> ())
-      (fun () -> Serve.Chaos.run ~store_dir cfg)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "fault floor (got %d)" report.Serve.Chaos.faults_injected)
-    true
-    (report.Serve.Chaos.faults_injected >= 50);
-  let blackouts =
-    List.fold_left
-      (fun acc c -> if c.Serve.Chaos.fault = "blackout" then acc + c.Serve.Chaos.fired else acc)
-      0 report.Serve.Chaos.fault_counts
-  in
-  Alcotest.(check bool) "shard 0 blacked out" true (blackouts >= 1);
-  match Serve.Chaos.violations ~min_faults:50 report with
-  | [] -> ()
-  | v ->
-      Alcotest.failf "router chaos violations: %s (report: %s)" (String.concat "; " v)
-        (Serve.Chaos.report_to_string report)
 
 (* ---------- telemetry: req_id propagation, metrics, debug ---------- *)
 
@@ -1694,58 +1832,6 @@ let test_server_batch_wait_recorded () =
   await "batch_wait recorded for every request" (fun () -> Util.Histogram.count h >= 4);
   Alcotest.(check int) "one sample per request" 4 (Util.Histogram.count h)
 
-let test_router_merged_metrics () =
-  with_server @@ fun s1 ->
-  with_server @@ fun s2 ->
-  let router =
-    Router.create
-      [
-        Router.backend_of_server ~describe:"shard-0" s1;
-        Router.backend_of_server ~describe:"shard-1" s2;
-      ]
-  in
-  ignore (expect_ok (sync_router_call router (run_mc_line ())));
-  ignore (expect_ok (sync_router_call router (run_mc_line ~id:2 ~sampler:"kle" ~n:16 ())));
-  await "shard recording landed" (fun () ->
-      Util.Histogram.count (Serve.Telemetry.total_histogram (Server.telemetry s1))
-      + Util.Histogram.count (Serve.Telemetry.total_histogram (Server.telemetry s2))
-      >= 2);
-  let mp = expect_ok (sync_router_call router {|{"id":9,"method":"metrics"}|}) in
-  Alcotest.(check (option int)) "both shards reporting" (Some 2)
-    (Option.bind (Util.Jsonx.member "shards_reporting" mp) Util.Jsonx.as_int);
-  let shard_requests server =
-    (* every shard also counts the metrics fan-out request itself at submit
-       time, so compare against live server counters scraped after *)
-    match
-      Option.bind
-        (Util.Jsonx.member "requests" (expect_ok (sync_call server {|{"id":0,"method":"stats"}|})))
-        Util.Jsonx.as_int
-    with
-    | Some n -> n
-    | None -> Alcotest.fail "shard stats missing requests"
-  in
-  (match Option.bind (Util.Jsonx.member "counters" mp) (Util.Jsonx.member "requests") with
-  | Some v -> (
-      match Util.Jsonx.as_int v with
-      | Some merged ->
-          Alcotest.(check bool)
-            (Printf.sprintf "merged requests %d sums both shards" merged)
-            true
-            (merged >= 2 && merged <= shard_requests s1 + shard_requests s2)
-      | None -> Alcotest.fail "merged requests not an int")
-  | None -> Alcotest.fail "merged counters missing requests");
-  (* the merged histogram holds both shards' samples *)
-  match
-    Option.bind
-      (Option.bind (Option.bind (Util.Jsonx.member "stages" mp) (Util.Jsonx.member "total"))
-         (Util.Jsonx.member "count"))
-      Util.Jsonx.as_int
-  with
-  | Some n when n >= 2 -> ()
-  | v ->
-      Alcotest.failf "merged total count: %s"
-        (match v with Some n -> string_of_int n | None -> "absent")
-
 let () =
   Alcotest.run "serve"
     [
@@ -1758,6 +1844,7 @@ let () =
             test_jsonx_control_and_bytes;
           Alcotest.test_case "errors" `Quick test_jsonx_errors;
           Alcotest.test_case "member" `Quick test_jsonx_member;
+          Alcotest.test_case "depth cap" `Quick test_jsonx_depth_cap;
         ] );
       ( "protocol",
         [
@@ -1772,6 +1859,8 @@ let () =
           Alcotest.test_case "frame roundtrip" `Quick test_wire_frame_roundtrip;
           Alcotest.test_case "adversarial headers" `Quick test_wire_adversarial_headers;
           Alcotest.test_case "read_frame" `Quick test_wire_read_frame;
+          Alcotest.test_case "read_line" `Quick test_wire_read_line;
+          Alcotest.test_case "json line cap (ssta_serve)" `Quick test_serve_json_line_cap;
           Alcotest.test_case "jsonx codec" `Quick test_wire_jsonx_codec;
           Alcotest.test_case "jsonx adversarial" `Quick test_wire_jsonx_adversarial;
           Alcotest.test_case "request roundtrip" `Quick test_wire_request_roundtrip;
@@ -1780,15 +1869,7 @@ let () =
           Alcotest.test_case "cross-wire bit identity" `Quick test_wire_cross_identity;
           Alcotest.test_case "client binary wire" `Quick test_client_binary_wire;
         ] );
-      ( "router",
-        [
-          Alcotest.test_case "routing key" `Quick test_router_routing_key;
-          Alcotest.test_case "ring balance + stability" `Quick test_router_ring;
-          Alcotest.test_case "cross-shard bit identity" `Quick
-            test_router_cross_shard_identity;
-          Alcotest.test_case "shed + failover" `Quick test_router_shed_and_failover;
-          Alcotest.test_case "chaos invariants" `Slow test_router_chaos_invariants;
-        ] );
+      ("fuzz", fuzz_tests);
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
@@ -1826,8 +1907,6 @@ let () =
           Alcotest.test_case "json request log" `Quick test_server_json_request_log;
           Alcotest.test_case "batch_wait recorded" `Quick
             test_server_batch_wait_recorded;
-          Alcotest.test_case "router merges shard metrics" `Quick
-            test_router_merged_metrics;
         ] );
       ( "supervision",
         [
