@@ -34,7 +34,6 @@ type options = {
   mutable json : string option;
   mutable trace : string option;
   mutable metrics : bool;
-  mutable quick : bool;
 }
 
 let opts =
@@ -49,7 +48,6 @@ let opts =
     json = None;
     trace = None;
     metrics = false;
-    quick = false;
   }
 
 let pf fmt = Printf.printf fmt
@@ -1514,70 +1512,6 @@ let serve_bench () =
           [ ("wire", Bench_json.String wire_name);
             ("throughput_rps", Bench_json.Float rps) ])
     (List.rev !saturation);
-  (* telemetry overhead: the same steady-state load with recording on vs.
-     off (histograms, ring admission and counters all gated by one flag);
-     the design target is under 2% of throughput *)
-  let overhead_rps enabled =
-    let server = Serve.Server.create sweep_config in
-    Serve.Telemetry.set_enabled (Serve.Server.telemetry server) enabled;
-    let client =
-      Serve.Client.create
-        ~policy:
-          { Serve.Client.default_policy with Serve.Client.timeout_s = Some 600.0 }
-        (Serve.Server.submit server)
-    in
-    (match
-       Serve.Client.call_request client (mc_request ~id:900 ~seed:opts.seed)
-     with
-    | Ok _ -> ()
-    | Error f ->
-        pf "FAIL: telemetry-overhead warmup: %s\n" (Serve.Client.failure_to_string f);
-        exit 1);
-    let concurrency = 4 in
-    let n_requests = 8 * concurrency in
-    let failures = Atomic.make 0 in
-    let timer = Util.Timer.start () in
-    let submitter tid =
-      let i = ref tid in
-      while !i < n_requests do
-        (match
-           Serve.Client.call_request client
-             (mc_request ~id:(1000 + !i) ~seed:(opts.seed + !i))
-         with
-        | Ok _ -> ()
-        | Error _ -> Atomic.incr failures);
-        i := !i + concurrency
-      done
-    in
-    let threads = List.init concurrency (fun tid -> Thread.create submitter tid) in
-    List.iter Thread.join threads;
-    let total_s = Util.Timer.elapsed_s timer in
-    Serve.Server.drain server;
-    if Atomic.get failures > 0 then begin
-      pf "FAIL: %d requests errored in the telemetry-overhead run\n"
-        (Atomic.get failures);
-      exit 1
-    end;
-    float_of_int n_requests /. total_s
-  in
-  (* a single pass per arm is noise-dominated (each request is ~15 ms of
-     MC compute, so 32 requests resolve only coarse differences);
-     alternate the arms across rounds and keep each arm's best pass, so a
-     transient load spike cannot masquerade as telemetry overhead *)
-  let rps_on = ref 0.0 and rps_off = ref 0.0 in
-  for _ = 1 to 3 do
-    rps_on := Float.max !rps_on (overhead_rps true);
-    rps_off := Float.max !rps_off (overhead_rps false)
-  done;
-  let rps_on = !rps_on and rps_off = !rps_off in
-  let overhead_pct = (rps_off -. rps_on) /. rps_off *. 100.0 in
-  pf "telemetry overhead: %.1f req/s on vs %.1f req/s off (%+.2f%% of throughput)\n"
-    rps_on rps_off overhead_pct;
-  emit_meta "serve-telemetry-overhead"
-    ~params:
-      [ ("rps_on", Bench_json.Float rps_on);
-        ("rps_off", Bench_json.Float rps_off);
-        ("overhead_pct", Bench_json.Float overhead_pct) ];
   pf "bit-identity: responses identical across both wires\n";
   (* leave no bench droppings in TMPDIR *)
   (try
@@ -1585,122 +1519,6 @@ let serve_bench () =
      Unix.rmdir store_dir
    with Sys_error _ | Unix.Unix_error _ -> ());
   pf "serve OK\n"
-
-(* incremental hierarchical re-timing: cold full analysis vs a warm
-   stitch-cache hit vs a one-gate edit that re-extracts exactly one block
-   macro. Exits non-zero when the reuse counters are wrong — the bench
-   doubles as a correctness gate for the dependency-aware cache. *)
-let retime_bench ~quick () =
-  header "Incremental re-timing: block macro-models + dependency-aware cache";
-  let c0 = Util.Trace.counters () in
-  let n_gates = if quick then 600 else 2400 in
-  let n_blocks = 8 in
-  let netlist =
-    Circuit.Generator.generate
-      { Circuit.Generator.name = "retime-bench"; n_gates; n_inputs = 12;
-        n_outputs = 8; dff_fraction = 0.05; seed = opts.seed }
-  in
-  let setup = Ssta.Experiment.setup_circuit netlist in
-  let kle_config =
-    {
-      Ssta.Algorithm2.paper_config with
-      Ssta.Algorithm2.max_area_fraction = (if quick then 0.05 else 0.01);
-    }
-  in
-  let a2, prep_s =
-    Util.Timer.time (fun () ->
-        Ssta.Algorithm2.prepare ~config:kle_config ?jobs:opts.jobs
-          (Ssta.Process.paper_default ())
-          setup.Ssta.Experiment.locations)
-  in
-  let models = Ssta.Algorithm2.models a2 in
-  let model_key = "retime-bench" in
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kle-retime-bench.%d" (Unix.getpid ()))
-  in
-  let dg = Persist.Depgraph.create (Persist.Store.open_ ~dir:store_dir ()) in
-  let retime setup =
-    Hier.Engine.retime ~n_blocks ?jobs:opts.jobs ~cache:dg setup ~models ~model_key
-  in
-  let expect label got want =
-    if got <> want then begin
-      pf "FAIL: %s = %d, expected %d\n" label got want;
-      exit 1
-    end
-  in
-  let cold, cold_s = Util.Timer.time (fun () -> retime setup) in
-  let nb = cold.Hier.Engine.n_blocks in
-  expect "cold blocks_recomputed" cold.Hier.Engine.counters.Hier.Engine.blocks_recomputed nb;
-  let warm, warm_s = Util.Timer.time (fun () -> retime setup) in
-  expect "warm blocks_reused" warm.Hier.Engine.counters.Hier.Engine.blocks_reused nb;
-  expect "warm blocks_recomputed" warm.Hier.Engine.counters.Hier.Engine.blocks_recomputed 0;
-  (* one-gate kind swap within an equal-pin-capacitance pair, so exactly
-     one block's content hash moves *)
-  let edit =
-    let found = ref None in
-    Array.iter
-      (fun g ->
-        if !found = None then
-          match g.Circuit.Netlist.kind with
-          | Circuit.Gate.Nand2 ->
-              found := Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind = Circuit.Gate.Nor2 }
-          | Circuit.Gate.Nor2 ->
-              found := Some { Hier.Edit.gate = g.Circuit.Netlist.id; kind = Circuit.Gate.Nand2 }
-          | _ -> ())
-      netlist.Circuit.Netlist.gates;
-    match !found with
-    | Some e -> e
-    | None ->
-        pf "FAIL: no swappable gate in the generated netlist\n";
-        exit 1
-  in
-  let edited_netlist =
-    match Hier.Edit.apply netlist edit with
-    | Ok nl -> nl
-    | Error m ->
-        pf "FAIL: edit rejected: %s\n" m;
-        exit 1
-  in
-  let edited_setup = Ssta.Experiment.setup_circuit edited_netlist in
-  let edited, edit_s = Util.Timer.time (fun () -> retime edited_setup) in
-  expect "edit blocks_recomputed" edited.Hier.Engine.counters.Hier.Engine.blocks_recomputed 1;
-  expect "edit blocks_reused" edited.Hier.Engine.counters.Hier.Engine.blocks_reused (nb - 1);
-  (* the composed result stays faithful to a flat pass over the edit *)
-  let flat = Ssta.Block_ssta.run edited_setup ~models in
-  let e_mu, e_sigma = Hier.Engine.validate_against_flat edited ~flat in
-  if e_mu > 1.0 || e_sigma > 10.0 then begin
-    pf "FAIL: edited compose drifted from flat (e_mu %.3f%%, e_sigma %.3f%%)\n" e_mu e_sigma;
-    exit 1
-  end;
-  pf "retime %d gates, %d blocks: cold %.3fs, warm (stitch hit) %.4fs, one-gate edit %.3fs\n"
-    n_gates nb cold_s warm_s edit_s;
-  pf "  edit recomputed %d/%d blocks; cold/edit %.1fx, cold/warm %.0fx; vs flat e_mu %.3f%% e_sigma %.3f%%\n"
-    edited.Hier.Engine.counters.Hier.Engine.blocks_recomputed nb (cold_s /. edit_s)
-    (cold_s /. warm_s) e_mu e_sigma;
-  emit "retime"
-    ~params:
-      [ ("n_gates", Bench_json.Int n_gates);
-        ("quick", Bench_json.Bool quick);
-        ("cold_over_edit", Bench_json.Float (cold_s /. edit_s));
-        ("cold_over_warm", Bench_json.Float (cold_s /. warm_s)) ]
-    ~stages:
-      [ ("prepare_models", prep_s); ("retime_cold", cold_s);
-        ("retime_warm", warm_s); ("retime_edit", edit_s) ]
-    ~counters:
-      (counters_since c0
-      @ [ ("n_blocks", nb);
-          ("blocks_recomputed_cold", cold.Hier.Engine.counters.Hier.Engine.blocks_recomputed);
-          ("blocks_reused_warm", warm.Hier.Engine.counters.Hier.Engine.blocks_reused);
-          ("blocks_recomputed_edit", edited.Hier.Engine.counters.Hier.Engine.blocks_recomputed);
-          ("blocks_reused_edit", edited.Hier.Engine.counters.Hier.Engine.blocks_reused) ])
-    ~r:(Ssta.Algorithm2.r a2)
-    ~wall_s:(prep_s +. cold_s +. warm_s +. edit_s);
-  (try
-     Array.iter (fun f -> Sys.remove (Filename.concat store_dir f)) (Sys.readdir store_dir);
-     Unix.rmdir store_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  pf "retime OK\n"
 
 (* fault-injection storm against the serving tier: worker crashes, store
    read errors, torn writes and latency, with the Chaos module's
@@ -1767,10 +1585,10 @@ let usage () =
   pf
     "usage: main.exe [fig1|fig3a|fig3b|fig4|fig5|fig6a|fig6b|table1|eigtime|scale|\n\
     \                 ablate-quad|ablate-mesh|ablate-eig|ablate-kernel|ablate-recon|ablate-basis|\n\
-    \                 serve|retime|chaos|smoke|micro|all]\n\
+    \                 serve|chaos|smoke|micro|all]\n\
     \                [--samples N] [--table-samples N] [--max-gates N] [--full]\n\
     \                [--mesh-frac F] [--seed N] [-j N] [--json PATH]\n\
-    \                [--trace PATH] [--metrics] [--quick]\n"
+    \                [--trace PATH] [--metrics]\n"
 
 let () =
   let commands = ref [] in
@@ -1806,9 +1624,6 @@ let () =
     | "--metrics" :: rest ->
         opts.metrics <- true;
         parse rest
-    | "--quick" :: rest ->
-        opts.quick <- true;
-        parse rest
     | ("--help" | "-h") :: _ ->
         usage ();
         exit 0
@@ -1842,7 +1657,6 @@ let () =
     | "ablate-qmc" -> ablate_qmc ()
     | "powergrid" -> powergrid ()
     | "serve" -> serve_bench ()
-    | "retime" -> retime_bench ~quick:opts.quick ()
     | "chaos" -> chaos_bench ()
     | "smoke" -> smoke ()
     | "micro" -> micro ()

@@ -341,25 +341,29 @@ let read_canonical r =
     sens;
   Ssta.Canonical.make ~mean ~sens ~indep
 
-(* reverse dependency edges of one cache entry: the (kind, spec-hash)
-   addresses of the entries that were computed *from* it. Stored under its
-   own kind so [Depgraph] can walk the graph without decoding payloads. *)
-let write_dep_edges b edges =
-  Codec.write_array b
-    (fun b (kind, hash) ->
-      Codec.write_string b kind;
-      Codec.write_string b hash)
-    edges
+(* one flat block-SSTA result: the worst-delay form and every endpoint
+   form over a [basis_dim]-wide shared basis, plus the pass's own time *)
+let write_block_ssta b (t : Ssta.Block_ssta.t) =
+  Codec.write_uint b t.Ssta.Block_ssta.basis_dim;
+  write_canonical b t.Ssta.Block_ssta.worst;
+  Codec.write_array b write_canonical t.Ssta.Block_ssta.endpoint_forms;
+  Codec.write_float b t.Ssta.Block_ssta.analysis_seconds
 
-let read_dep_edges r =
-  Codec.read_array r (fun r ->
-      let kind = Codec.read_string r in
-      let hash = Codec.read_string r in
-      if kind = "" || hash = "" then corrupt "empty dependency-edge address";
-      (kind, hash))
+let read_block_ssta r =
+  let basis_dim = Codec.read_uint r in
+  let check c =
+    if Array.length c.Ssta.Canonical.sens <> basis_dim then
+      corrupt "canonical form of dimension %d in a basis of %d"
+        (Array.length c.Ssta.Canonical.sens) basis_dim;
+    c
+  in
+  let worst = check (read_canonical r) in
+  let endpoint_forms = Codec.read_array r (fun r -> check (read_canonical r)) in
+  let analysis_seconds = Codec.read_float r in
+  { Ssta.Block_ssta.basis_dim; worst; endpoint_forms; analysis_seconds }
 
-let dep_edges =
-  { kind = "dep-edges"; version = 1; encode = write_dep_edges; decode = read_dep_edges }
+let block_ssta =
+  { kind = "block-ssta"; version = 1; encode = write_block_ssta; decode = read_block_ssta }
 
 (* ---------------------------------------------------------------- *)
 

@@ -223,13 +223,6 @@ let find_or_add t entity ~spec compute =
       put t entity ~spec v;
       (v, outcome)
 
-let remove t entity ~spec =
-  try Sys.remove (path t entity ~spec) with Sys_error _ -> ()
-
-let remove_addressed t ~kind ~hash =
-  try Sys.remove (Filename.concat t.dir (Printf.sprintf "%s-%s.bin" kind hash))
-  with Sys_error _ -> ()
-
 type stats = {
   hits : int;
   misses : int;
@@ -280,7 +273,9 @@ type fsck_report = {
 
 (* the entity versions this build writes, keyed by file-kind tag — an
    entry whose kind is known but whose version differs is stale (will be
-   recomputed on next access), not corrupt *)
+   recomputed on next access), not corrupt. Kinds this build no longer
+   writes (the retired "kle-hmatrix", "hier-macro", "hier-stitch" and
+   "dep-edges") verify structurally as ok and age out through the GC *)
 let current_versions =
   [
     (Entity.kernel.Entity.kind, Entity.kernel.Entity.version);
@@ -290,12 +285,7 @@ let current_versions =
     (Entity.sampler.Entity.kind, Entity.sampler.Entity.version);
     (Entity.netlist.Entity.kind, Entity.netlist.Entity.version);
     (Entity.circuit_setup.Entity.kind, Entity.circuit_setup.Entity.version);
-    (Entity.dep_edges.Entity.kind, Entity.dep_edges.Entity.version);
-    (* hierarchical SSTA entities live in [lib/hier] (which depends on this
-       library), so their versions are mirrored here as literals — keep in
-       sync with [Hier.Macro.entity] / [Hier.Engine.stitch_entity] *)
-    ("hier-macro", 1);
-    ("hier-stitch", 1);
+    (Entity.block_ssta.Entity.kind, Entity.block_ssta.Entity.version);
   ]
 
 (* Structural verification without an entity decoder: header fields,

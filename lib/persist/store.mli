@@ -53,9 +53,6 @@ val open_ :
 
 val dir : t -> string
 
-val key : spec:string -> string
-(** The content address: FNV-1a 64 of the spec, as 16 hex digits. *)
-
 val path : t -> 'a Entity.t -> spec:string -> string
 (** The file an entry lives at (exposed for tests and corruption
     injection). *)
@@ -78,15 +75,6 @@ val find_or_add : t -> 'a Entity.t -> spec:string -> (unit -> 'a) -> 'a * outcom
 (** The store's main loop: serve the verified entry, or compute, store and
     return the fresh value. The recompute path stores its result even when
     the entry was merely stale, upgrading the store in place. *)
-
-val remove : t -> 'a Entity.t -> spec:string -> unit
-(** Delete an entry if present. *)
-
-val remove_addressed : t -> kind:string -> hash:string -> unit
-(** Delete the entry for [kind] whose spec hashes to [hash] (the 16-hex
-    {!key} form), if present. This is the deletion primitive behind
-    {!Depgraph} invalidation, which tracks entries by address rather than
-    by typed entity + full spec. *)
 
 type stats = {
   hits : int;

@@ -47,10 +47,16 @@ type call =
       n_blocks : int option;
       edit : retime_edit option;
     }
-      (** Incremental hierarchical SSTA: partition into [n_blocks] blocks,
-          recombine cached block macro-models and recompute only the blocks
-          the optional [edit] dirtied. The response reports per-request
-          [blocks_reused]/[blocks_recomputed] counters. *)
+      (** Flat single-pass block SSTA ({!Ssta.Block_ssta.run}) of the
+          circuit, after the optional one-gate [edit], over the server's
+          KLE models. The reply equals a direct [Block_ssta.run] of the
+          same (edited) circuit bit for bit, and is cached on the edited
+          circuit's setup spec plus the models' specs, so a repeated edit
+          is served from the memory or disk tier ([cache_result];
+          [blocks_recomputed] is 1 when the pass ran, 0 when it did not).
+          [n_blocks] is kept in the type and both wire codecs for older
+          clients only: any [Some _] is answered [Bad_params] naming the
+          field. *)
   | Stats  (** server counters + cache and store statistics *)
   | Metrics
       (** telemetry snapshot: per-stage latency histograms + unified

@@ -47,6 +47,7 @@ let c_worker_restarts = Util.Trace.counter "serve_worker_restarts"
 type artifact =
   | A_setup of Ssta.Experiment.circuit_setup
   | A_model of Kle.Model.t
+  | A_block_ssta of Ssta.Block_ssta.t
 
 (* per-connection response codec: a job answers on the wire it arrived on.
    [req_id] is the echoed correlation ID — [None] when the request carried
@@ -97,9 +98,6 @@ type t = {
   config : config;
   diag : Util.Diag.sink;
   store : Persist.Store.t option;
-  (* dependency-aware view over [store] for the hierarchical retime cache;
-     None when the server runs without a store (macros recomputed per call) *)
-  depgraph : Persist.Depgraph.t option;
   cache : artifact Lru.t;
   queue : job Queue.t;  (* guarded by [lock] *)
   lock : Mutex.t;
@@ -131,8 +129,6 @@ type t = {
   n_singleflight : int Atomic.t;  (* misses answered by another domain's compute *)
   n_replies_dropped : int Atomic.t;  (* replies that raised mid-write (dead client) *)
   n_requeued : int Atomic.t;  (* jobs re-queued after a worker crash *)
-  n_blocks_reused : int Atomic.t;  (* retime: block macros served from the cache *)
-  n_blocks_recomputed : int Atomic.t;  (* retime: block macros extracted *)
   telemetry : Telemetry.t;
   instance : int;  (* ingress req_id namespace, unique per server *)
   req_seq : int Atomic.t;
@@ -264,42 +260,35 @@ let resolve_netlist circuit =
       | Ok netlist -> Ok (netlist, "bench=" ^ Persist.Codec.fnv64_hex text)
       | Error msg -> Error (Protocol.Netlist_error, msg))
 
-(* [edit] applies a one-gate kind swap before setup; the swap is folded
-   into the cache token so the edited setup is content-addressed alongside
-   (never instead of) the baseline one *)
-let get_setup_edited t circuit edit =
-  match resolve_netlist circuit with
-  | Error _ as e -> e
-  | Ok (netlist, token) -> (
-      let edited =
-        match edit with
-        | None -> Ok (netlist, token)
-        | Some { Protocol.gate; kind } -> (
-            match Hier.Edit.kind_of_string kind with
+(* The netlist a request names, with the optional one-gate [edit]
+   applied, and its setup cache spec. The swap is folded into the spec so
+   the edited setup is content-addressed alongside (never instead of) the
+   baseline one. *)
+let resolve_circuit t circuit edit =
+  let edited =
+    match (resolve_netlist circuit, edit) with
+    | (Error _ as e), _ | (Ok _ as e), None -> e
+    | Ok (netlist, token), Some { Protocol.gate; kind } -> (
+        match Hier.Edit.kind_of_string kind with
+        | Error msg -> Error (Protocol.Bad_params, msg)
+        | Ok k -> (
+            match Hier.Edit.apply netlist { Hier.Edit.gate; kind = k } with
             | Error msg -> Error (Protocol.Bad_params, msg)
-            | Ok k -> (
-                match Hier.Edit.apply netlist { Hier.Edit.gate; kind = k } with
-                | Error msg -> Error (Protocol.Bad_params, msg)
-                | Ok edited ->
-                    Ok
-                      ( edited,
-                        Printf.sprintf "%s;edit=%d:%s" token gate
-                          (String.lowercase_ascii kind) )))
-      in
-      match edited with
-      | Error _ as e -> e
-      | Ok (netlist, token) ->
-          let spec =
-            Printf.sprintf "circuit(%s,placement_seed=%d)" token t.config.placement_seed
-          in
-          Ok
-            (cached t Persist.Entity.circuit_setup ~spec
-               ~inject:(fun s -> A_setup s)
-               ~project:(function A_setup s -> Some s | _ -> None)
-               (fun () ->
-                 Ssta.Experiment.setup_circuit ~placement_seed:t.config.placement_seed netlist)))
+            | Ok edited ->
+                Ok (edited, Printf.sprintf "%s;edit=%d:%s" token gate (String.lowercase_ascii kind))))
+  in
+  Result.map
+    (fun (netlist, token) ->
+      (netlist, Printf.sprintf "circuit(%s,placement_seed=%d)" token t.config.placement_seed))
+    edited
 
-let get_setup t circuit = get_setup_edited t circuit None
+let cached_setup t (netlist, spec) =
+  cached t Persist.Entity.circuit_setup ~spec
+    ~inject:(fun s -> A_setup s)
+    ~project:(function A_setup s -> Some s | _ -> None)
+    (fun () -> Ssta.Experiment.setup_circuit ~placement_seed:t.config.placement_seed netlist)
+
+let get_setup t circuit = Result.map (cached_setup t) (resolve_circuit t circuit None)
 
 let mode_name = function Kle.Galerkin.Auto -> "auto" | Kle.Galerkin.Assembled -> "assembled"
 
@@ -325,10 +314,10 @@ let get_model t kernel ~r =
     ~project:(function A_model m -> Some m | _ -> None)
     (compute_model t kernel ~r)
 
-(* the model set's cache-key contribution for hierarchical macros: every
-   parameter's full model spec, hashed to keep macro specs short. Any
+(* the model set's cache-key contribution for block-SSTA results: every
+   parameter's full model spec, hashed to keep result specs short. Any
    change that would alter a model (kernel, truncation, mesh config)
-   changes this key and therefore every macro and stitched entry. *)
+   changes this key and therefore every cached result. *)
 let models_key t process ~r =
   Persist.Codec.fnv64_hex
     (String.concat "|"
@@ -354,7 +343,8 @@ let get_models t process ~r =
 (* ---------------------------------------------------------------- *)
 (* request execution *)
 
-exception Reject of Protocol.error_code * string
+(* a typed request failure; [field] names the offending params key *)
+exception Reject of Protocol.error_code * string * string option
 
 let process () = Ssta.Process.paper_default ()
 
@@ -457,9 +447,6 @@ let stats_payload t =
        ("cache_misses", Util.Jsonx.Num (float_of_int (Atomic.get t.n_misses)));
        ("cache_recovered", Util.Jsonx.Num (float_of_int (Atomic.get t.n_recovered)));
        ("singleflight_dedup", Util.Jsonx.Num (float_of_int (Atomic.get t.n_singleflight)));
-       ("retime_blocks_reused", Util.Jsonx.Num (float_of_int (Atomic.get t.n_blocks_reused)));
-       ( "retime_blocks_recomputed",
-         Util.Jsonx.Num (float_of_int (Atomic.get t.n_blocks_recomputed)) );
        ("queue_length", Util.Jsonx.Num (float_of_int queue_len));
        ("queue_capacity", Util.Jsonx.Num (float_of_int t.config.queue_capacity));
        ("workers", Util.Jsonx.Num (float_of_int t.config.workers));
@@ -519,8 +506,6 @@ let unified_counters t =
     ("cache_misses", Atomic.get t.n_misses);
     ("cache_recovered", Atomic.get t.n_recovered);
     ("singleflight_dedup", Atomic.get t.n_singleflight);
-    ("retime_blocks_reused", Atomic.get t.n_blocks_reused);
-    ("retime_blocks_recomputed", Atomic.get t.n_blocks_recomputed);
     ("worker_restarts", Atomic.get t.n_worker_restarts);
     ("quarantined", Atomic.get t.n_quarantined);
     ("queue_depth", queue_depth);
@@ -533,7 +518,7 @@ let execute t (request : Protocol.request) : Util.Jsonx.t =
   match request.Protocol.call with
   | Protocol.Prepare { circuit; r } -> (
       match get_setup t circuit with
-      | Error (code, msg) -> raise (Reject (code, msg))
+      | Error (code, msg) -> raise (Reject (code, msg, None))
       | Ok (setup, setup_tier) ->
           let timer = Util.Timer.start () in
           let models, model_tier = get_models t (process ()) ~r in
@@ -558,7 +543,7 @@ let execute t (request : Protocol.request) : Util.Jsonx.t =
             ])
   | Protocol.Run_mc { circuit; sampler; r; seed; n; batch; full } -> (
       match get_setup t circuit with
-      | Error (code, msg) -> raise (Reject (code, msg))
+      | Error (code, msg) -> raise (Reject (code, msg, None))
       | Ok (setup, setup_tier) ->
           let sampler_fn, setup_seconds, tier = mc_sampler_of t setup sampler ~r ~seed in
           let mc =
@@ -575,7 +560,7 @@ let execute t (request : Protocol.request) : Util.Jsonx.t =
               ]))
   | Protocol.Compare { circuit; r; seed; n } -> (
       match get_setup t circuit with
-      | Error (code, msg) -> raise (Reject (code, msg))
+      | Error (code, msg) -> raise (Reject (code, msg, None))
       | Ok (setup, _) ->
           let ref_sampler, ref_setup_s, _ = mc_sampler_of t setup Protocol.Cholesky ~r ~seed in
           let reference =
@@ -603,37 +588,41 @@ let execute t (request : Protocol.request) : Util.Jsonx.t =
                 Util.Jsonx.Num (float_of_int cmp.Ssta.Experiment.excluded_endpoints) );
               ("speedup", Util.Jsonx.Num cmp.Ssta.Experiment.speedup);
             ])
-  | Protocol.Retime { circuit; r; n_blocks; edit } -> (
-      match get_setup_edited t circuit edit with
-      | Error (code, msg) -> raise (Reject (code, msg))
-      | Ok (setup, setup_tier) ->
+  | Protocol.Retime { n_blocks = Some _; _ } ->
+      raise
+        (Reject
+           ( Protocol.Bad_params,
+             "params.n_blocks is not accepted: retime runs one flat analysis of the whole circuit",
+             Some "n_blocks" ))
+  | Protocol.Retime { circuit; r; n_blocks = None; edit } -> (
+      match resolve_circuit t circuit edit with
+      | Error (code, msg) -> raise (Reject (code, msg, None))
+      | Ok ((_, setup_spec) as resolved) ->
+          let setup, setup_tier = cached_setup t resolved in
           let proc = process () in
           let models, model_tier = get_models t proc ~r in
-          let result =
-            Hier.Engine.retime ?n_blocks ?jobs:t.config.jobs ?cache:t.depgraph setup
-              ~models ~model_key:(models_key t proc ~r)
+          let timer = Util.Timer.start () in
+          let result, result_tier =
+            cached t Persist.Entity.block_ssta
+              ~spec:(Printf.sprintf "block-ssta(%s;models=%s)" setup_spec (models_key t proc ~r))
+              ~inject:(fun b -> A_block_ssta b)
+              ~project:(function A_block_ssta b -> Some b | _ -> None)
+              (fun () -> Ssta.Block_ssta.run setup ~models)
           in
-          let counters = result.Hier.Engine.counters in
-          ignore
-            (Atomic.fetch_and_add t.n_blocks_reused counters.Hier.Engine.blocks_reused);
-          ignore
-            (Atomic.fetch_and_add t.n_blocks_recomputed
-               counters.Hier.Engine.blocks_recomputed);
+          let analysis_seconds = Util.Timer.elapsed_s timer in
+          let recomputed = match result_tier with Miss | Recovered -> 1 | Hit_mem | Hit_disk -> 0 in
           Util.Jsonx.Obj
             [
               ("circuit", Util.Jsonx.Str setup.Ssta.Experiment.netlist.Circuit.Netlist.name);
-              ("n_blocks", Util.Jsonx.Num (float_of_int result.Hier.Engine.n_blocks));
-              ("basis_dim", Util.Jsonx.Num (float_of_int result.Hier.Engine.basis_dim));
-              ("worst_mean", Util.Jsonx.Num result.Hier.Engine.worst.Ssta.Canonical.mean);
-              ("worst_sigma", Util.Jsonx.Num (Ssta.Canonical.sigma result.Hier.Engine.worst));
+              ("worst_mean", Util.Jsonx.Num (Ssta.Block_ssta.mean result));
+              ("worst_sigma", Util.Jsonx.Num (Ssta.Block_ssta.sigma result));
               ( "endpoints",
-                Util.Jsonx.Num (float_of_int (Array.length result.Hier.Engine.endpoint_forms)) );
-              ("blocks_reused", Util.Jsonx.Num (float_of_int counters.Hier.Engine.blocks_reused));
-              ( "blocks_recomputed",
-                Util.Jsonx.Num (float_of_int counters.Hier.Engine.blocks_recomputed) );
-              ("analysis_seconds", Util.Jsonx.Num result.Hier.Engine.analysis_seconds);
+                Util.Jsonx.Num (float_of_int (Array.length result.Ssta.Block_ssta.endpoint_forms)) );
+              ("blocks_recomputed", Util.Jsonx.Num (float_of_int recomputed));
+              ("analysis_seconds", Util.Jsonx.Num analysis_seconds);
               ("cache_setup", Util.Jsonx.Str (tier_name setup_tier));
               ("cache_models", Util.Jsonx.Str (tier_name model_tier));
+              ("cache_result", Util.Jsonx.Str (tier_name result_tier));
             ])
   | Protocol.Stats -> stats_payload t
   | Protocol.Health -> health_payload t
@@ -747,9 +736,10 @@ let run_job t job =
       @@ fun () ->
       match execute t request with
       | payload -> job.codec.rc_ok ~id ~req_id payload
-      | exception Reject (code, msg) ->
+      | exception Reject (code, message, field) ->
           fail ();
-          job.codec.rc_error ~id ~req_id code msg
+          job.codec.rc_reject
+            { Protocol.reject_id = id; reject_req_id = req_id; code; message; field }
       | exception Util.Diag.Failure event ->
           fail ();
           job.codec.rc_error ~id ~req_id Protocol.Internal_error (Util.Diag.to_string event)
@@ -926,7 +916,6 @@ let create ?diag config =
       config;
       diag;
       store;
-      depgraph = Option.map Persist.Depgraph.create store;
       cache = Lru.create ~capacity:config.cache_entries;
       queue = Queue.create ();
       lock = Mutex.create ();
@@ -953,8 +942,6 @@ let create ?diag config =
       n_singleflight = Atomic.make 0;
       n_replies_dropped = Atomic.make 0;
       n_requeued = Atomic.make 0;
-      n_blocks_reused = Atomic.make 0;
-      n_blocks_recomputed = Atomic.make 0;
       telemetry;
       instance;
       req_seq = Atomic.make 0;

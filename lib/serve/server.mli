@@ -12,7 +12,8 @@
       monotonic deadline at submission and checked when a worker dequeues
       it; an expired request is answered [deadline_exceeded] without
       doing the work.
-    - {b Caching}: prepared artifacts (circuit setups, KLE models) are
+    - {b Caching}: prepared artifacts (circuit setups, KLE models, and
+      [retime]'s flat block-SSTA results) are
       served from an in-memory {!Lru} over the optional on-disk
       {!Persist.Store}; responses report which tier answered
       ([hit-mem] / [hit-disk] / [miss] / [recovered]).
@@ -39,7 +40,7 @@
     ingress decode to queue admission; queue wait, cache lookup, compute,
     reply write), a slow-request ring,
     and an optional structured request log. The [metrics] protocol method
-    returns the full registry (counters + quantiles + mergeable histogram
+    returns the full registry (counters + quantiles + histogram
     snapshots + Prometheus text); [debug] returns the slow-request ring.
     Requests carry a correlation ID end-to-end: the client's [req_id] if
     it sent one (echoed verbatim in the reply), or one minted at ingress

@@ -28,7 +28,6 @@ type slow_entry = {
 }
 
 type t = {
-  on : bool Atomic.t;
   slow_ms : float;
   ring_size : int;
   ring : slow_entry option array;  (* circular, guarded by [lock] *)
@@ -42,7 +41,6 @@ type t = {
 let create ?(slow_ms = 0.) ?(ring_size = 64) () =
   if ring_size < 1 then invalid_arg "Telemetry.create: ring_size < 1";
   {
-    on = Atomic.make true;
     slow_ms;
     ring_size;
     ring = Array.make ring_size None;
@@ -53,8 +51,6 @@ let create ?(slow_ms = 0.) ?(ring_size = 64) () =
     log = None;
   }
 
-let set_enabled t b = Atomic.set t.on b
-let enabled t = Atomic.get t.on
 let set_log t sink = t.log <- sink
 
 let stage_histogram t stage = t.stage_hists.(stage_index stage)
@@ -63,32 +59,28 @@ let total_histogram t = t.total_hist
 let ms_of_ns ns = float_of_int ns /. 1e6
 
 let record_request t ~req_id ~method_ ~ok ~stages ~total_ns =
-  if Atomic.get t.on then begin
-    List.iter
-      (fun (stage, ns) -> Histogram.record t.stage_hists.(stage_index stage) ns)
-      stages;
-    Histogram.record t.total_hist total_ns;
-    let stage_ns = List.map (fun (s, ns) -> (stage_name s, max 0 ns)) stages in
-    if ms_of_ns total_ns >= t.slow_ms then
-      Mutex.protect t.lock (fun () ->
-          let seq = t.seq in
-          t.seq <- seq + 1;
-          t.ring.(seq mod t.ring_size) <-
-            Some { seq; req_id; method_; ok; total_ns; stage_ns });
-    match t.log with
-    | None -> ()
-    | Some sink ->
-        sink
-          (Util.Jsonx.Obj
-             ([
-                ("req_id", Util.Jsonx.Str req_id);
-                ("method", Util.Jsonx.Str method_);
-                ("ok", Util.Jsonx.Bool ok);
-                ("total_ms", Util.Jsonx.Num (ms_of_ns total_ns));
-              ]
-             @ List.map (fun (name, ns) -> (name ^ "_ms", Util.Jsonx.Num (ms_of_ns ns))) stage_ns
-             ))
-  end
+  List.iter
+    (fun (stage, ns) -> Histogram.record t.stage_hists.(stage_index stage) ns)
+    stages;
+  Histogram.record t.total_hist total_ns;
+  let stage_ns = List.map (fun (s, ns) -> (stage_name s, max 0 ns)) stages in
+  if ms_of_ns total_ns >= t.slow_ms then
+    Mutex.protect t.lock (fun () ->
+        let seq = t.seq in
+        t.seq <- seq + 1;
+        t.ring.(seq mod t.ring_size) <- Some { seq; req_id; method_; ok; total_ns; stage_ns });
+  match t.log with
+  | None -> ()
+  | Some sink ->
+      sink
+        (Util.Jsonx.Obj
+           ([
+              ("req_id", Util.Jsonx.Str req_id);
+              ("method", Util.Jsonx.Str method_);
+              ("ok", Util.Jsonx.Bool ok);
+              ("total_ms", Util.Jsonx.Num (ms_of_ns total_ns));
+            ]
+           @ List.map (fun (name, ns) -> (name ^ "_ms", Util.Jsonx.Num (ms_of_ns ns))) stage_ns))
 
 (* ---------------------------------------------------------------- *)
 (* exposition *)

@@ -35,12 +35,6 @@ val create : ?slow_ms:float -> ?ring_size:int -> unit -> t
     threshold; the ring keeps the last [ring_size] (default 64) qualifying
     requests. *)
 
-val set_enabled : t -> bool -> unit
-(** Telemetry is on by default; disabling turns {!record_request} into a
-    no-op (used to measure the recording overhead itself). *)
-
-val enabled : t -> bool
-
 val set_log : t -> (Util.Jsonx.t -> unit) option -> unit
 (** Structured request-log sink ([ssta_serve --log-json]): called once per
     recorded request with a one-line JSON object (request ID, method,

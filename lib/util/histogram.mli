@@ -3,7 +3,7 @@
     Values are non-negative integers (by convention nanoseconds). The
     layout is value-range independent and identical for every instance:
     exact buckets below 32, then 32 sub-buckets per power of two —
-    bounding relative error at ~3% — so any two histograms merge
+    bounding relative error at ~3% — so any two snapshots compare
     bucket-by-bucket with no resampling. Recording is lock-free (one
     atomic fetch-and-add per bucket); because addition commutes, the
     bucket counts after recording a given multiset of samples are
@@ -47,11 +47,6 @@ val quantile : t -> float -> int
 
 val max_value : t -> int
 (** Representative value of the highest occupied bucket; 0 when empty. *)
-
-val merge_into : dst:t -> t -> unit
-(** Add [src]'s bucket counts and sum into [dst]. Layouts are fixed, so
-    any two histograms merge; merging is commutative and associative up
-    to bit-identical bucket counts. *)
 
 val reset : t -> unit
 (** Zero every bucket, the count and the sum. Not atomic with respect to

@@ -205,6 +205,35 @@ let test_entity_sampler () =
   let sampler' = roundtrip Entity.sampler sampler in
   check_mat "expansion" (Kle.Sampler.expansion sampler) (Kle.Sampler.expansion sampler')
 
+(* a flat block-SSTA result round-trips bit for bit (what a cached
+   [retime] reply is served from); a form whose width disagrees with the
+   stored basis dimension is corrupt *)
+let test_entity_block_ssta () =
+  let model = Kle.Model.create ~r:5 (small_solution ()) in
+  let setup = Ssta.Experiment.setup_circuit (small_netlist ()) in
+  let t = Ssta.Block_ssta.run setup ~models:(Array.make 4 model) in
+  let t' = roundtrip Entity.block_ssta t in
+  let bits = Int64.bits_of_float in
+  let same_form label (a : Ssta.Canonical.t) (b : Ssta.Canonical.t) =
+    Alcotest.(check bool)
+      (label ^ " bit-identical")
+      true
+      (bits a.Ssta.Canonical.mean = bits b.Ssta.Canonical.mean
+      && bits a.Ssta.Canonical.indep = bits b.Ssta.Canonical.indep
+      && Array.map bits a.Ssta.Canonical.sens = Array.map bits b.Ssta.Canonical.sens)
+  in
+  Alcotest.(check int) "basis dim" t.Ssta.Block_ssta.basis_dim t'.Ssta.Block_ssta.basis_dim;
+  same_form "worst" t.Ssta.Block_ssta.worst t'.Ssta.Block_ssta.worst;
+  Alcotest.(check int) "endpoints"
+    (Array.length t.Ssta.Block_ssta.endpoint_forms)
+    (Array.length t'.Ssta.Block_ssta.endpoint_forms);
+  Array.iteri
+    (fun i f -> same_form (Printf.sprintf "endpoint %d" i) f t'.Ssta.Block_ssta.endpoint_forms.(i))
+    t.Ssta.Block_ssta.endpoint_forms;
+  let narrow = Ssta.Canonical.make ~mean:1.0 ~sens:[| 0.5 |] ~indep:0.0 in
+  let bad = { t with Ssta.Block_ssta.endpoint_forms = [| narrow |] } in
+  expect_codec_error (fun () -> roundtrip Entity.block_ssta bad)
+
 (* ---------- store ---------- *)
 
 let test_store_roundtrip_and_outcomes () =
@@ -486,22 +515,27 @@ let test_store_fsck_gc_oldest_first () =
   Alcotest.(check int) "dry-run projects eviction" 1 dry.Store.gc_evicted;
   Alcotest.(check bool) "dry run deletes nothing" true (Sys.file_exists (path "a"))
 
-(* kinds this build no longer writes (e.g. the retired "kle-hmatrix"
-   operator factors of older stores) verify as ok — no decoder runs on
-   them — and leave through the size-capped GC like any other entry *)
+(* kinds this build no longer writes — the "kle-hmatrix" operator
+   factors, and the "hier-macro" / "hier-stitch" / "dep-edges" entries of
+   the retired incremental re-timing cache, all at version 1 in older
+   stores — verify as ok (no decoder runs on them) and leave through the
+   size-capped GC like any other entry *)
 let test_store_fsck_retired_kind () =
-  with_tmp_dir @@ fun dir ->
-  let store = Store.open_ ~dir () in
-  let retired = { Entity.netlist with Entity.kind = "kle-hmatrix" } in
-  Store.put store retired ~spec:"old-factors" (small_netlist ());
-  let path = Store.path store retired ~spec:"old-factors" in
-  let r = Store.fsck ~dir () in
-  Alcotest.(check int) "ok" 1 r.Store.ok;
-  Alcotest.(check int) "not stale" 0 r.Store.stale;
-  Alcotest.(check int) "not corrupt" 0 r.Store.corrupt;
-  let r = Store.fsck ~repair:true ~max_bytes:0 ~dir () in
-  Alcotest.(check int) "evicted by the cap" 1 r.Store.gc_evicted;
-  Alcotest.(check bool) "file gone" false (Sys.file_exists path)
+  List.iter
+    (fun kind ->
+      with_tmp_dir @@ fun dir ->
+      let store = Store.open_ ~dir () in
+      let retired = { Entity.netlist with Entity.kind; version = 1 } in
+      Store.put store retired ~spec:"old-entry" (small_netlist ());
+      let path = Store.path store retired ~spec:"old-entry" in
+      let r = Store.fsck ~dir () in
+      Alcotest.(check int) (kind ^ " ok") 1 r.Store.ok;
+      Alcotest.(check int) (kind ^ " not stale") 0 r.Store.stale;
+      Alcotest.(check int) (kind ^ " not corrupt") 0 r.Store.corrupt;
+      let r = Store.fsck ~repair:true ~max_bytes:0 ~dir () in
+      Alcotest.(check int) (kind ^ " evicted by the cap") 1 r.Store.gc_evicted;
+      Alcotest.(check bool) (kind ^ " file gone") false (Sys.file_exists path))
+    [ "kle-hmatrix"; "hier-macro"; "hier-stitch"; "dep-edges" ]
 
 (* satellite: two domains racing find_or_add over the same corrupt entry.
    Whichever loses the unlink race sees ENOENT on open — that must be a
@@ -589,79 +623,6 @@ let test_store_roundtrip_run_mc_bit_identical () =
         fresh.Ssta.Experiment.endpoint_sigma)
     [ 1; 2 ]
 
-(* ---------- dependency graph ---------- *)
-
-module Depgraph = Persist.Depgraph
-
-(* a tiny string-payload entity so edge wiring is cheap to exercise *)
-let note : string Entity.t =
-  {
-    Entity.kind = "test-note";
-    version = 1;
-    encode = Codec.write_string;
-    decode = Codec.read_string;
-  }
-
-let test_depgraph_edges_and_dependents () =
-  with_tmp_dir @@ fun dir ->
-  let dg = Depgraph.create (Store.open_ ~dir ()) in
-  let a = Depgraph.node note ~spec:"a" in
-  let b = Depgraph.node note ~spec:"b" in
-  let va, oa = Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A") in
-  Alcotest.(check string) "a value" "A" va;
-  Alcotest.(check bool) "a miss" true (oa = `Miss);
-  let vs, _ =
-    Depgraph.find_or_add dg note ~spec:"sum" ~deps:[ a; b ] (fun () -> "A+B")
-  in
-  Alcotest.(check string) "sum value" "A+B" vs;
-  let s = Depgraph.node note ~spec:"sum" in
-  Alcotest.(check bool) "a -> sum" true (Depgraph.dependents dg a = [ s ]);
-  Alcotest.(check bool) "b -> sum" true (Depgraph.dependents dg b = [ s ]);
-  Alcotest.(check bool) "sum is a leaf" true (Depgraph.dependents dg s = []);
-  (* edges re-record on hits too (self-healing) *)
-  let _, oh = Depgraph.find_or_add dg note ~spec:"sum" ~deps:[ a; b ] (fun () -> "no") in
-  Alcotest.(check bool) "sum hit" true (oh = `Hit);
-  Alcotest.(check bool) "a -> sum stable" true (Depgraph.dependents dg a = [ s ])
-
-let test_depgraph_invalidate_exact_closure () =
-  with_tmp_dir @@ fun dir ->
-  let store = Store.open_ ~dir () in
-  let dg = Depgraph.create store in
-  (* a -> mid -> top, with `other` unrelated *)
-  let a = Depgraph.node note ~spec:"a" in
-  let mid = Depgraph.node note ~spec:"mid" in
-  let top = Depgraph.node note ~spec:"top" in
-  ignore (Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A"));
-  ignore (Depgraph.find_or_add dg note ~spec:"mid" ~deps:[ a ] (fun () -> "M"));
-  ignore (Depgraph.find_or_add dg note ~spec:"top" ~deps:[ mid ] (fun () -> "T"));
-  ignore (Depgraph.find_or_add dg note ~spec:"other" (fun () -> "O"));
-  let removed = Depgraph.invalidate dg a in
-  (* the node first, then discovery order down the closure *)
-  Alcotest.(check bool) "closure removed" true (removed = [ a; mid; top ]);
-  Alcotest.(check (option string)) "a gone" None (Depgraph.get dg note ~spec:"a");
-  Alcotest.(check (option string)) "mid gone" None (Depgraph.get dg note ~spec:"mid");
-  Alcotest.(check (option string)) "top gone" None (Depgraph.get dg note ~spec:"top");
-  Alcotest.(check (option string)) "unrelated untouched" (Some "O")
-    (Depgraph.get dg note ~spec:"other");
-  (* edge lists of the deleted entries are gone too *)
-  Alcotest.(check bool) "a edges cleared" true (Depgraph.dependents dg a = []);
-  (* rebuild re-files the edges *)
-  ignore (Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A2"));
-  ignore (Depgraph.find_or_add dg note ~spec:"mid" ~deps:[ a ] (fun () -> "M2"));
-  Alcotest.(check bool) "a -> mid restored" true (Depgraph.dependents dg a = [ mid ])
-
-let test_depgraph_edges_survive_reopen () =
-  with_tmp_dir @@ fun dir ->
-  let a = Depgraph.node note ~spec:"a" in
-  (let dg = Depgraph.create (Store.open_ ~dir ()) in
-   ignore (Depgraph.find_or_add dg note ~spec:"a" (fun () -> "A"));
-   ignore (Depgraph.find_or_add dg note ~spec:"out" ~deps:[ a ] (fun () -> "OUT")));
-  (* a fresh wrapper over the same directory sees the persisted edges *)
-  let dg2 = Depgraph.create (Store.open_ ~dir ()) in
-  let removed = Depgraph.invalidate dg2 a in
-  Alcotest.(check int) "both entries removed" 2 (List.length removed);
-  Alcotest.(check (option string)) "out gone" None (Depgraph.get dg2 note ~spec:"out")
-
 let () =
   Alcotest.run "persist"
     [
@@ -683,6 +644,7 @@ let () =
           Alcotest.test_case "netlist" `Quick test_entity_netlist;
           Alcotest.test_case "circuit setup" `Quick test_entity_circuit_setup;
           Alcotest.test_case "sampler" `Quick test_entity_sampler;
+          Alcotest.test_case "block ssta" `Quick test_entity_block_ssta;
         ] );
       ( "store",
         [
@@ -707,12 +669,5 @@ let () =
             test_store_concurrent_corrupt_delete_race;
           Alcotest.test_case "run_mc bit-identical after roundtrip" `Quick
             test_store_roundtrip_run_mc_bit_identical;
-        ] );
-      ( "depgraph",
-        [
-          Alcotest.test_case "edges + dependents" `Quick test_depgraph_edges_and_dependents;
-          Alcotest.test_case "invalidate exact closure" `Quick
-            test_depgraph_invalidate_exact_closure;
-          Alcotest.test_case "edges survive reopen" `Quick test_depgraph_edges_survive_reopen;
         ] );
     ]

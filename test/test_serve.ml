@@ -425,57 +425,6 @@ let retime_line ?(id = 1) ?edit () =
     {|{"id":%d,"method":"retime","params":{"circuit":{"bench":"%s"}%s}}|}
     id (escape_bench tiny_bench) edit_field
 
-let test_server_retime_end_to_end () =
-  let store_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "serve-retime.%d.%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun f -> Sys.remove (Filename.concat store_dir f))
-           (Sys.readdir store_dir)
-       with Sys_error _ -> ());
-      try Unix.rmdir store_dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let config = { test_config with Server.store_dir = Some store_dir } in
-  with_server ~config @@ fun server ->
-  let int_of payload k = Option.bind (Util.Jsonx.member k payload) Util.Jsonx.as_int in
-  (* cold: every block extracted *)
-  let cold = expect_ok (sync_call server (retime_line ~id:1 ())) in
-  let nb = Option.get (int_of cold "n_blocks") in
-  Alcotest.(check bool) "blocks partitioned" true (nb >= 1);
-  Alcotest.(check (option int)) "cold reused" (Some 0) (int_of cold "blocks_reused");
-  Alcotest.(check (option int)) "cold recomputed" (Some nb)
-    (int_of cold "blocks_recomputed");
-  (* warm: the whole stitched result is served from the dependency cache *)
-  let warm = expect_ok (sync_call server (retime_line ~id:2 ())) in
-  Alcotest.(check (option int)) "warm reused" (Some nb) (int_of warm "blocks_reused");
-  Alcotest.(check (option int)) "warm recomputed" (Some 0)
-    (int_of warm "blocks_recomputed");
-  Alcotest.(check (option float_exact)) "bit-identical worst_mean"
-    (Option.bind (Util.Jsonx.member "worst_mean" cold) Util.Jsonx.as_num)
-    (Option.bind (Util.Jsonx.member "worst_mean" warm) Util.Jsonx.as_num);
-  (* one-gate edit (x = NAND -> NOR, same pin capacitance): exactly the
-     dirty block re-extracts *)
-  let edited = expect_ok (sync_call server (retime_line ~id:3 ~edit:(2, "nor2") ())) in
-  Alcotest.(check (option int)) "edit recomputed" (Some 1)
-    (int_of edited "blocks_recomputed");
-  Alcotest.(check (option int)) "edit reused" (Some (nb - 1))
-    (int_of edited "blocks_reused");
-  (* cumulative counters surface in stats *)
-  let stats = expect_ok (sync_call server {|{"id":9,"method":"stats"}|}) in
-  Alcotest.(check (option int)) "stats reused" (Some (nb + (nb - 1)))
-    (int_of stats "retime_blocks_reused");
-  Alcotest.(check (option int)) "stats recomputed" (Some (nb + 1))
-    (int_of stats "retime_blocks_recomputed");
-  (* edit validation surfaces as bad_params: inputs are not editable *)
-  ignore
-    (expect_error
-       (sync_call server (retime_line ~id:4 ~edit:(0, "inv") ()))
-       Protocol.Bad_params)
-
 let test_server_overload_backpressure () =
   let config = { test_config with Server.workers = 1; Server.queue_capacity = 1 } in
   let server = Server.create config in
@@ -1483,6 +1432,115 @@ let sync_call_binary server request =
       match Wire.decode_response p with
       | Error msg -> Alcotest.failf "binary reply decode: %s" msg
       | Ok (id, _req_id, result) -> (id, result))
+
+(* retime is one flat Block_ssta.run of the (edited) circuit over the
+   server's models, cached on the edited setup spec: cold, edited,
+   repeated and reopened-store replies all equal a direct analysis bit for
+   bit, a repeat is served from the cache, and the retired n_blocks
+   parameter is rejected on both wires *)
+let test_server_retime_end_to_end () =
+  let store_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "serve-retime.%d.%d" (Unix.getpid ()) (Random.int 1_000_000))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter
+           (fun f -> Sys.remove (Filename.concat store_dir f))
+           (Sys.readdir store_dir)
+       with Sys_error _ -> ());
+      try Unix.rmdir store_dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let config = { test_config with Server.store_dir = Some store_dir } in
+  (* the server's models, rebuilt directly: one per process parameter *)
+  let kle = { config.Server.kle with Ssta.Algorithm2.r = None } in
+  let mesh = Ssta.Algorithm2.die_mesh kle in
+  let models =
+    Array.map
+      (fun (p : Ssta.Process.parameter) ->
+        Ssta.Algorithm2.solve_model ~config:kle mesh p.Ssta.Process.kernel)
+      (Ssta.Process.paper_default ()).Ssta.Process.parameters
+  in
+  let netlist = Result.get_ok (Circuit.Bench_format.parse ~name:"inline" tiny_bench) in
+  let flat ?edit () =
+    let nl =
+      match edit with
+      | None -> netlist
+      | Some (gate, kind) ->
+          let kind = Result.get_ok (Hier.Edit.kind_of_string kind) in
+          Result.get_ok (Hier.Edit.apply netlist { Hier.Edit.gate; kind })
+    in
+    Ssta.Block_ssta.run
+      (Ssta.Experiment.setup_circuit ~placement_seed:config.Server.placement_seed nl)
+      ~models
+  in
+  let num payload k = Option.bind (Util.Jsonx.member k payload) Util.Jsonx.as_num in
+  let str payload k = Option.bind (Util.Jsonx.member k payload) Util.Jsonx.as_str in
+  let check_reply label payload (want : Ssta.Block_ssta.t) ~recomputed ~tier =
+    Alcotest.(check (option float_exact)) (label ^ " worst_mean")
+      (Some (Ssta.Block_ssta.mean want)) (num payload "worst_mean");
+    Alcotest.(check (option float_exact)) (label ^ " worst_sigma")
+      (Some (Ssta.Block_ssta.sigma want)) (num payload "worst_sigma");
+    Alcotest.(check (option float_exact)) (label ^ " endpoints")
+      (Some (float_of_int (Array.length want.Ssta.Block_ssta.endpoint_forms)))
+      (num payload "endpoints");
+    Alcotest.(check (option float_exact)) (label ^ " blocks_recomputed")
+      (Some (float_of_int recomputed)) (num payload "blocks_recomputed");
+    Alcotest.(check (option string)) (label ^ " cache_result") (Some tier)
+      (str payload "cache_result")
+  in
+  let edit = (2, "nor2") (* x = NAND(a, b) becomes a NOR *) in
+  let want_edit = flat ~edit () in
+  with_server ~config (fun server ->
+      check_reply "cold"
+        (expect_ok (sync_call server (retime_line ~id:1 ())))
+        (flat ()) ~recomputed:1 ~tier:"miss";
+      check_reply "edited"
+        (expect_ok (sync_call server (retime_line ~id:2 ~edit ())))
+        want_edit ~recomputed:1 ~tier:"miss";
+      check_reply "repeated edit"
+        (expect_ok (sync_call server (retime_line ~id:3 ~edit ())))
+        want_edit ~recomputed:0 ~tier:"hit-mem";
+      (* the retired n_blocks parameter: JSON names the field, the binary
+         wire (no field attribution) names it in the message *)
+      let line =
+        Printf.sprintf
+          {|{"id":4,"method":"retime","params":{"circuit":{"bench":"%s"},"n_blocks":3}}|}
+          (escape_bench tiny_bench)
+      in
+      let reply = sync_call server line in
+      ignore (expect_error reply Protocol.Bad_params);
+      Alcotest.(check (option string)) "json field" (Some "n_blocks")
+        Util.Jsonx.(
+          Option.bind (Option.bind (member "error" (reply_json reply)) (member "field")) as_str);
+      let request =
+        {
+          Protocol.id = Util.Jsonx.Num 5.0;
+          req_id = None;
+          deadline_ms = None;
+          call =
+            Protocol.Retime
+              { circuit = Protocol.Bench_text tiny_bench; r = None; n_blocks = Some 3; edit = None };
+        }
+      in
+      (match sync_call_binary server request with
+      | _, Error (code, msg) ->
+          Alcotest.(check string) "binary code"
+            (Protocol.error_code_name Protocol.Bad_params)
+            (Protocol.error_code_name code);
+          Alcotest.(check bool) "binary message names n_blocks" true (contains ~sub:"n_blocks" msg)
+      | _, Ok _ -> Alcotest.fail "binary n_blocks accepted");
+      (* edit validation surfaces as bad_params: inputs are not editable *)
+      ignore
+        (expect_error
+           (sync_call server (retime_line ~id:6 ~edit:(0, "inv") ()))
+           Protocol.Bad_params));
+  (* a new server over the same store serves the edit from disk *)
+  with_server ~config (fun server ->
+      check_reply "reopened store"
+        (expect_ok (sync_call server (retime_line ~id:7 ~edit ())))
+        want_edit ~recomputed:0 ~tier:"hit-disk")
 
 let test_wire_cross_identity () =
   with_server @@ fun server ->

@@ -329,25 +329,6 @@ let test_histogram_domain_determinism () =
         (Util.Histogram.quantile h1 p) (Util.Histogram.quantile h2 p))
     [ 0.5; 0.9; 0.99; 0.999 ]
 
-let test_histogram_shard_merge () =
-  (* two histograms each record a disjoint half; merging (in either order)
-     equals one histogram that saw everything *)
-  let whole = Util.Histogram.create () in
-  record_all whole hist_samples;
-  let n = Array.length hist_samples in
-  let a = Util.Histogram.create () and b = Util.Histogram.create () in
-  Array.iteri
-    (fun i v -> Util.Histogram.record (if i < n / 2 then a else b) v)
-    hist_samples;
-  let m1 = Util.Histogram.create () in
-  Util.Histogram.merge_into ~dst:m1 a;
-  Util.Histogram.merge_into ~dst:m1 b;
-  let m2 = Util.Histogram.create () in
-  Util.Histogram.merge_into ~dst:m2 b;
-  Util.Histogram.merge_into ~dst:m2 a;
-  Alcotest.(check bool) "a+b = whole" true (hist_state m1 = hist_state whole);
-  Alcotest.(check bool) "merge commutes" true (hist_state m1 = hist_state m2)
-
 let test_histogram_json_roundtrip () =
   (* the snapshot [metrics] ships survives JSON text intact: version,
      layout, exact count and sum, and every occupied bucket *)
@@ -849,46 +830,6 @@ let test_lint_domain_spawn_confined_to_supervisor () =
       write sup_file body;
       Alcotest.(check int) "supervisor.ml is the allowed site" 0 (run ())
 
-(* rule 8: lib/hier/ must cache through Persist.Depgraph, never the raw
-   store — a direct store write bypasses the dependency edges that
-   invalidation walks *)
-let test_lint_hier_store_access_forbidden () =
-  match repo_root (Sys.getcwd ()) with
-  | None -> Alcotest.fail "tools/lint.sh not found above the test cwd"
-  | Some root ->
-      let lint = Filename.concat root "tools/lint.sh" in
-      let dir =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "lint8-test.%d" (Unix.getpid ()))
-      in
-      let libdir = Filename.concat dir "lib" in
-      let hierdir = Filename.concat libdir "hier" in
-      Unix.mkdir dir 0o755;
-      Unix.mkdir libdir 0o755;
-      Unix.mkdir hierdir 0o755;
-      let file = Filename.concat hierdir "engine.ml" in
-      let write body =
-        let oc = open_out file in
-        output_string oc body;
-        close_out oc
-      in
-      let run () =
-        Sys.command
-          (Printf.sprintf "sh %s %s >/dev/null 2>&1" (Filename.quote lint)
-             (Filename.quote dir))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Sys.remove file with Sys_error _ -> ());
-          List.iter
-            (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ())
-            [ hierdir; libdir; dir ])
-      @@ fun () ->
-      write "let load store = Persist.Store.get store entity ~spec\n";
-      Alcotest.(check bool) "direct store access rejected" true (run () <> 0);
-      write "let load dg = Persist.Depgraph.get dg entity ~spec\n";
-      Alcotest.(check int) "dependency layer accepted" 0 (run ())
-
 let () =
   Alcotest.run "util"
     [
@@ -898,8 +839,6 @@ let () =
             test_lint_scratch_needs_reentrancy_comment;
           Alcotest.test_case "Domain.spawn confined to supervisor" `Quick
             test_lint_domain_spawn_confined_to_supervisor;
-          Alcotest.test_case "hier store access forbidden" `Quick
-            test_lint_hier_store_access_forbidden;
         ] );
       ( "arrayx",
         [
@@ -966,8 +905,6 @@ let () =
         [
           Alcotest.test_case "1-vs-2-domain bit identity" `Quick
             test_histogram_domain_determinism;
-          Alcotest.test_case "shard merge determinism" `Quick
-            test_histogram_shard_merge;
           Alcotest.test_case "json round-trip" `Quick test_histogram_json_roundtrip;
           Alcotest.test_case "quantile bounds" `Quick test_histogram_quantiles;
         ] );
